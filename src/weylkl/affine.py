@@ -33,6 +33,8 @@ from .coxeter import (
     parabolic_quotient,
     _symmetrizer,
 )
+from .endoscopy import straighten
+from .linalg import kernel_basis
 from .rootdata import RootDatum, pairing
 
 
@@ -241,32 +243,11 @@ def _indecomposables(datum: RootDatum, items):
 def _left_null_marks(gcm, positions):
     """Primitive positive integer left null vector of an affine sub-matrix."""
     idx = sorted(positions)
-    size = len(idx)
-    # solve sum_i x_i * gcm[idx[i]][idx[j]] = 0 by exact elimination
-    mat = [[Fraction(gcm[idx[i]][idx[j]]) for i in range(size)]
-           for j in range(size)]
-    pivots = {}
-    row = 0
-    for col in range(size):
-        piv = next((r for r in range(row, size) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        lead = mat[row][col]
-        mat[row] = [c / lead for c in mat[row]]
-        for r in range(size):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots[col] = row
-        row += 1
-    free = [c for c in range(size) if c not in pivots]
-    if len(free) != 1:
+    # x with sum_i x_i * gcm[idx[i]][idx[j]] = 0: the kernel of the transpose
+    basis = kernel_basis([[gcm[i][j] for i in idx] for j in idx])
+    if len(basis) != 1:
         raise ValueError("component does not have a one-dimensional null space")
-    sol = [Fraction(0)] * size
-    sol[free[0]] = Fraction(1)
-    for col, r in pivots.items():
-        sol[col] = -mat[r][free[0]]
+    sol = basis[0]
     denom = math.lcm(*(c.denominator for c in sol))
     ints = [int(c * denom) for c in sol]
     if all(c < 0 for c in ints):
@@ -274,7 +255,7 @@ def _left_null_marks(gcm, positions):
     if not all(c > 0 for c in ints):
         raise ValueError("null marks of an affine component must be positive")
     g = math.gcd(*ints)
-    return {idx[i]: ints[i] // g for i in range(size)}
+    return {pos: mark // g for pos, mark in zip(idx, ints)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,36 +295,6 @@ class AffineStratification:
         return tuple(l for l in self.labels if l >= 1)
 
 
-def _straighten(datum, labels, roots, coroots, vec, k, level_class):
-    """Move the finite part to the dominant (antidominant at negative level)
-    chamber of the integral affine group, collecting the moving word."""
-    if level_class is LevelClass.POSITIVE:
-        active, flip = range(len(labels)), False
-    elif level_class is LevelClass.NEGATIVE:
-        active, flip = range(len(labels)), True
-    else:
-        active = [i for i, l in enumerate(labels) if l >= 1]
-        flip = False
-    word = []
-    for _ in range(100000):
-        descent = None
-        for i in active:
-            beta, m = roots[i]
-            val = _affine_pairing(datum, beta, m, vec, k)
-            if (val > 0) if flip else (val < 0):
-                descent = i
-                value = val
-                break
-        if descent is None:
-            break
-        word.append(descent)
-        coroot = coroots[descent][0]
-        vec = tuple(c - value * cr for c, cr in zip(vec, coroot))
-    else:
-        raise AssertionError("straightening did not terminate")
-    return tuple(vec), tuple(word)
-
-
 def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratification:
     """Endoscopic datum of an affine rational coweight: integral affine real
     roots, their indecomposables, the straightened finite part with its
@@ -379,10 +330,13 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     if len(roots) > 0 and system.kind != "affine":
         raise AssertionError("integral affine subsystem must be affine type")
 
-    lam_prime, word = _straighten(
-        datum, labels, roots, coroots, vec, k, level_class)
-    mover = CoxeterElement(system, system._canonical(word))
-    assert len(mover.word) == len(word), "straightening word must be reduced"
+    # the finite-labelled roots come first; at critical level only they move
+    active = len(finite) if level_class is LevelClass.CRITICAL else len(roots)
+    lam_prime, mover = straighten(
+        datum, system, [beta for beta, _m in roots[:active]],
+        [coroot for coroot, _c in coroots[:active]], vec,
+        shifts=[m * k for _beta, m in roots[:active]],
+        sign=-1 if level_class is LevelClass.NEGATIVE else 1)
 
     singular = frozenset(
         labels[i]

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .rootdata import RationalCoweight, RootDatum, build_root_datum
-from .coxeter import CoxeterSystem, parabolic_quotient, weyl_system
+from .coxeter import _ENUM_LIMIT, CoxeterSystem, parabolic_quotient, weyl_system
 from .kl import (
     KLFileCache,
     file_cache_from_env,
@@ -117,9 +117,12 @@ def _mat(m):
     return [_vec(row) for row in m]
 
 
-def _word_text(w) -> str:
-    labels = w.word_labels
+def _labels_text(labels) -> str:
     return ",".join(str(lab) for lab in labels) if labels else "e"
+
+
+def _word_text(w) -> str:
+    return _labels_text(w.word_labels)
 
 
 def _emit(args, payload, table_lines) -> str:
@@ -160,9 +163,19 @@ def _cmd_roots(args) -> str:
     return _emit(args, payload, lines)
 
 
+def _enumerable_weyl_system(datum: RootDatum) -> CoxeterSystem:
+    """The Weyl group, refused up front when it is too large to enumerate."""
+    order = datum.weyl_order()
+    if order > _ENUM_LIMIT:
+        raise ValueError(
+            f"the Weyl group of {datum.cartan_type}{datum.rank} has {order} "
+            f"elements, more than the enumeration limit of {_ENUM_LIMIT}")
+    return weyl_system(datum)
+
+
 def _cmd_weyl(args) -> str:
     datum = build_root_datum(args.type, args.rank)
-    system = weyl_system(datum)
+    system = _enumerable_weyl_system(datum)
     elements = parabolic_quotient(system, (), length_bound=args.length)
     words = [_word_text(w) for w in elements]
     payload = {"count": len(words), "elements": words}
@@ -174,23 +187,22 @@ def _cmd_weyl(args) -> str:
 
 def _cmd_kl(args) -> str:
     datum = build_root_datum(args.type, args.rank)
-    system = weyl_system(datum)
-    cache = file_cache_from_env()
+    system = _enumerable_weyl_system(datum)
     if args.table:
-        table = kl_table(system, max_length=args.length, file_cache=cache)
-        cache.save()
+        table = kl_table(system, max_length=args.length)
         if args.format == "json":
             payload = {"pairs": [
-                {"y": _word_text(y), "w": _word_text(w),
+                {"y": _labels_text(y), "w": _labels_text(w),
                  "coefficients": list(coeffs)}
                 for (y, w), coeffs in sorted(
                     table.items(),
-                    key=lambda kv: (kv[0][1].length, kv[0][1].word,
-                                    kv[0][0].length, kv[0][0].word))]}
+                    key=lambda kv: (len(kv[0][1]), kv[0][1],
+                                    len(kv[0][0]), kv[0][0]))]}
             return json.dumps(payload, indent=2, sort_keys=True)
         return format_kl_table(table)
     if args.y is None or args.w is None:
         raise ValueError("either --table or both --y and --w are required")
+    cache = file_cache_from_env()
     y = _parse_word(system, args.y)
     w = _parse_word(system, args.w)
     coeffs = kl_polynomial(system, y, w, file_cache=cache)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import leading_pivots
 from .rootdata import (
     RootDatum,
     build_root_datum,
@@ -85,7 +86,6 @@ class CoxeterSystem:
         self._hash = hash((self.gcm, self.labels))
         self._tab = None  # enumeration tables
         self._kind = None
-        self._kl_cache = {}  # used by the kl module
 
     # -- identity ------------------------------------------------------
 
@@ -148,10 +148,14 @@ class CoxeterSystem:
             sub = [[self.gcm[i][j] for j in comp] for i in comp]
             d = _symmetrizer(sub)
             gram = [[d[i] * sub[i][j] for j in range(len(comp))] for i in range(len(comp))]
-            minors = _leading_minors(gram)
-            if all(m > 0 for m in minors):
+            # pivot k = minor_k / minor_{k-1}; the list stops short when a
+            # minor before the last one is 0, which makes it indefinite
+            pivots = leading_pivots(gram)
+            head_positive = (len(pivots) == len(comp)
+                             and all(p > 0 for p in pivots[:-1]))
+            if head_positive and pivots[-1] > 0:
                 kinds.add("finite")
-            elif all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
+            elif head_positive and pivots[-1] == 0:
                 kinds.add("affine")
             else:
                 kinds.add("indefinite")
@@ -307,7 +311,9 @@ class CoxeterSystem:
                     if known is None:
                         known = len(cols)
                         if known > _ENUM_LIMIT:
-                            raise RuntimeError("enumeration limit exceeded")
+                            raise ValueError(
+                                f"enumeration limit exceeded: more than "
+                                f"{_ENUM_LIMIT} elements")
                         cols.append(key)
                         key2id[key] = known
                         length.append(cur_len + 1)
@@ -411,28 +417,6 @@ def _symmetrizer(gcm):
                     elif d[j] != val:
                         raise ValueError("Cartan matrix is not symmetrizable")
     return d
-
-
-def _leading_minors(gram):
-    return [_exact_minor(gram, k + 1) for k in range(len(gram))]
-
-
-def _exact_minor(gram, k):
-    mat = [[Fraction(gram[i][j]) for j in range(k)] for i in range(k)]
-    det = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if mat[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for r in range(c + 1, k):
-            factor = mat[r][c] / mat[c][c]
-            for j in range(c, k):
-                mat[r][j] -= factor * mat[c][j]
-    return det
 
 
 @dataclass(frozen=True)
@@ -779,9 +763,3 @@ def affine_length_from_parts(datum: RootDatum, wbar: CoxeterElement, mu) -> int:
             if m >= lo and all(c <= 0 for c in wg):
                 total += 1
     return total
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

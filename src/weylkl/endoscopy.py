@@ -39,6 +39,7 @@ __all__ = [
     "integral_positive_roots",
     "indecomposable_indices",
     "endoscopic_system",
+    "straighten",
     "stratify",
     "coweight_orbit_action",
     "ambient_matrix",
@@ -193,6 +194,36 @@ def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
     return _subgroup_matrices(datum, tuple(simple_indices))
 
 
+def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
+               shifts=None, sign=1):
+    """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
+
+    Repeatedly reflects by the first root i whose value
+    ``sign * (<roots[i], vec> + shifts[i])`` is negative, recording i, until
+    no such root is left.  ``shifts`` (default 0) are the delta-parts
+    ``m_i * k`` of affine roots at level k; ``sign = -1`` straightens to
+    the antidominant chamber.  Returns ``(lambda_prime, mover)`` where
+    ``mover``, the element of ``system`` spelled by the recorded word, is
+    the minimal element taking ``lambda_prime`` back to ``vec``.
+    """
+    if shifts is None:
+        shifts = (0,) * len(roots)
+    vec = tuple(vec)
+    word = []
+    for _ in range(100000):
+        for i, (beta, shift) in enumerate(zip(roots, shifts)):
+            value = pairing(datum, beta, vec) + shift
+            if sign * value < 0:
+                break
+        else:
+            mover = CoxeterElement(system, system._canonical(tuple(word)))
+            assert len(mover.word) == len(word), "straightening word must be reduced"
+            return vec, mover
+        word.append(i)
+        vec = tuple(c - value * cr for c, cr in zip(vec, coroots[i]))
+    raise AssertionError("straightening did not terminate")
+
+
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     """Full stratification data for a rational coweight."""
     if len(lam.mu) != datum.rank:
@@ -203,23 +234,7 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     roots = [datum.positive_roots[k] for k in simple]
     coroots = [datum.positive_coroots[k] for k in simple]
 
-    # straighten to the dominant representative, collecting the moving word
-    vec = lam.vector
-    word = []
-    while True:
-        descent = None
-        for i, beta in enumerate(roots):
-            if pairing(datum, beta, vec) < 0:
-                descent = i
-                break
-        if descent is None:
-            break
-        word.append(descent)
-        vec = reflect_coweight_by_root(datum, roots[descent], coroots[descent], vec)
-    lambda_prime = tuple(vec)
-    mover = CoxeterElement(system, system._canonical(tuple(word)))
-    assert len(mover.word) == len(word), "straightening word must be reduced"
-
+    lambda_prime, mover = straighten(datum, system, roots, coroots, lam.vector)
     singular = frozenset(
         i + 1 for i, beta in enumerate(roots) if pairing(datum, beta, lambda_prime) == 0)
     index_set = parabolic_quotient(system, singular)
@@ -243,9 +258,3 @@ def strata_for_degree(strat: Stratification, alpha):
         if dominance_compare(diff, alpha):
             out.append(w)
     return tuple(out)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

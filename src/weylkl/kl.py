@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 from .coxeter import CoxeterElement, CoxeterSystem
 
@@ -177,13 +176,12 @@ def kl_mu(system: CoxeterSystem, z: CoxeterElement, v: CoxeterElement,
 # -- full tables -------------------------------------------------------------
 
 
-def kl_table(system: CoxeterSystem, max_length=None, workers=None,
-             schedule="blocks"):
+def kl_table(system: CoxeterSystem, max_length=None):
     """All P_{y,w} for y <= w, keyed by (y label word, w label word).
 
-    ``workers``/``schedule`` split the upper elements across threads;
-    ``schedule`` is "blocks" (contiguous chunks) or "stripes" (round
-    robin).  The result is schedule-independent.
+    The upper elements are filled in order of length, so every recursive
+    call lands on pairs that are shorter or already memoized.  Infinite
+    systems need ``max_length``, which bounds the length of w.
     """
     if max_length is None:
         if not system.is_finite:
@@ -193,34 +191,10 @@ def kl_table(system: CoxeterSystem, max_length=None, workers=None,
     else:
         tab, cols, memo = _prepare(system, max_length)
         wids = [g for g in range(tab["size"]) if tab["length"][g] <= max_length]
-    wids = sorted(wids, key=lambda g: (tab["length"][g], tab["words"][g]))
-
-    def compute(ids):
-        for wid in ids:
-            mask = cols[wid]
-            while mask:
-                low = mask & -mask
-                yid = low.bit_length() - 1
-                mask ^= low
-                _kl_ids(tab, cols, yid, wid, memo)
-
-    if workers and workers > 1:
-        if schedule == "blocks":
-            chunk = (len(wids) + workers - 1) // workers
-            parts = [wids[k * chunk:(k + 1) * chunk] for k in range(workers)]
-        elif schedule == "stripes":
-            parts = [wids[k::workers] for k in range(workers)]
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(compute, parts))
-    else:
-        compute(wids)
-
     words = tab["words"]
     labels = system.labels
     out = {}
-    for wid in wids:
+    for wid in sorted(wids, key=lambda g: (tab["length"][g], words[g])):
         wkey = tuple(labels[p] for p in words[wid])
         mask = cols[wid]
         while mask:
@@ -319,9 +293,3 @@ class KLFileCache:
 def file_cache_from_env() -> KLFileCache:
     """Cache bound to $WEYLKL_CACHE; inert when the variable is unset."""
     return KLFileCache(os.environ.get(CACHE_ENV_VAR))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

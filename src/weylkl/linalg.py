@@ -2,10 +2,13 @@
 
 Matrices are lists of lists (rows) of ``Fraction``/``int``; nothing here is
 numerical.  Only the handful of routines the rest of the package needs:
-row reduction, rank, kernel basis, inverse, and a linear solver.
+row reduction, rank, kernel basis, inverse, a linear solver, and the
+pivots that give the signs of the leading principal minors.
 
 >>> rank([[1, 2], [2, 4]])
 1
+>>> leading_pivots([[2, -1], [-1, 2]])
+[Fraction(2, 1), Fraction(3, 2)]
 >>> invert_unitriangular([[1, 3], [0, 1]])
 [[1, -3], [0, 1]]
 """
@@ -20,6 +23,7 @@ __all__ = [
     "invert_unitriangular",
     "solve",
     "rref",
+    "leading_pivots",
 ]
 
 
@@ -50,6 +54,27 @@ def rref(mat):
         if r == n_rows:
             break
     return rows, pivots
+
+
+def leading_pivots(mat):
+    """Pivots of elimination without row exchanges, up to the first zero one.
+
+    While the leading principal minors D_1, ..., D_{k-1} are nonzero, pivot
+    k is D_k / D_{k-1}.  The list stops after the first zero pivot, so it is
+    shorter than the matrix exactly when a minor other than the last is 0.
+    """
+    rows = _copy(mat)
+    pivots = []
+    for c in range(len(rows)):
+        pivot = rows[c][c]
+        pivots.append(pivot)
+        if pivot == 0:
+            break
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / pivot
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return pivots
 
 
 def rank(mat) -> int:
@@ -106,9 +131,3 @@ def invert_unitriangular(mat):
         row = rows[i][n:]
         out.append([int(x) if x.denominator == 1 else x for x in row])
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -267,9 +267,3 @@ def coroot_height(vec: Sequence) -> Fraction:
 def translation_length(datum: RootDatum, mu: Sequence) -> Fraction:
     """sum_{alpha > 0} |<alpha, mu>|; the affine length of the translation by mu."""
     return sum(abs(pairing(datum, alpha, mu)) for alpha in datum.positive_roots)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
 from weylkl.cli import main
+from weylkl.coxeter import weyl_system
 from weylkl.endoscopy import stratify
+from weylkl.kl import kl_table
 from weylkl.multiplicity import multiplicity_matrix
 from weylkl.rootdata import RationalCoweight, build_root_datum
 
@@ -21,6 +26,73 @@ def test_kl_single_pair(capsys):
                        "--y", "e", "--w", "2,1,3,2")
     assert code == 0
     assert out.strip() == "1 + q"
+
+
+def test_kl_table_text(capsys):
+    code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "2", "--table")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 19
+    assert lines[0] == "- | - | 1"
+    assert lines[-1] == "1,2,1 | 1,2,1 | 1"
+
+
+def test_kl_table_json(capsys):
+    code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "3", "--table",
+                       "--format", "json")
+    assert code == 0
+    pairs = json.loads(out)["pairs"]
+    assert pairs[0] == {"y": "e", "w": "e", "coefficients": [1]}
+    assert {"y": "e", "w": "2,1,3,2", "coefficients": [1, 1]} in pairs
+    table = kl_table(weyl_system(build_root_datum("A", 3)))
+    assert len(pairs) == len(table)
+
+    def labels(text):
+        return () if text == "e" else tuple(int(c) for c in text.split(","))
+
+    keys = [(labels(pair["y"]), labels(pair["w"])) for pair in pairs]
+    assert keys == sorted(keys, key=lambda k: (len(k[1]), k[1], len(k[0]), k[0]))
+    assert all(table[key] == tuple(pair["coefficients"])
+               for key, pair in zip(keys, pairs))
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("weylkl ")]
+
+
+def test_readme_command_block_runs(capsys, monkeypatch):
+    monkeypatch.delenv("WEYLKL_CACHE", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 13
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--type", "E", "--rank", "7"),
+    ("kl", "--type", "E", "--rank", "8", "--y", "e", "--w", "1,2"),
+])
+def test_oversized_enumeration_is_refused_up_front(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "enumeration limit" in err
+    assert time.monotonic() - start < 5.0
+
+
+def test_enumeration_limit_exits_one_on_any_path(capsys, monkeypatch):
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
+    # affine subsystems are built afresh on every call, so nothing is cached
+    code, _, err = run(capsys, "affine", "--type", "A", "--rank", "2",
+                       "--lambda", "0,0/1", "--level", "1", "--length", "4")
+    assert code == 1
+    assert "enumeration limit" in err
 
 
 def test_fold_example(capsys):

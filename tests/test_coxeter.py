@@ -57,6 +57,35 @@ def test_kind_indefinite():
     assert CoxeterSystem([[2, -3], [-3, 2]]).kind == "indefinite"
 
 
+FINITE_TYPES_UP_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("letter,rank", FINITE_TYPES_UP_TO_RANK_8)
+def test_kind_of_every_finite_type_and_its_affinization(letter, rank):
+    datum = build_root_datum(letter, rank)
+    assert CoxeterSystem(datum.cartan_matrix).kind == "finite"
+    assert CoxeterSystem(affinization(datum).gcm).kind == "affine"
+
+
+@pytest.mark.parametrize("gcm", [
+    # leading minors 2, 0, -2: the zero minor is not the last one
+    [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],
+    [[2, -4, 0], [-1, 2, -1], [0, -1, 2]],
+    [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]],
+])
+def test_kind_zero_minor_before_the_last_is_indefinite(gcm):
+    assert CoxeterSystem(gcm).kind == "indefinite"
+
+
+def test_enumeration_limit_is_a_domain_error(monkeypatch):
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        CoxeterSystem(A3.cartan_matrix).size()
+
+
 def test_invalid_cartan_rejected():
     with pytest.raises(ValueError):
         CoxeterSystem([[2, 1], [-1, 2]])

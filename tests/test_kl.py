@@ -18,7 +18,6 @@ from weylkl.kl import (
     CACHE_ENV_VAR,
     KLFileCache,
     file_cache_from_env,
-    format_kl_table,
     kl_mu,
     kl_polynomial,
     kl_table,
@@ -109,14 +108,6 @@ def test_poly_string():
     assert poly_string((1,)) == "1"
     assert poly_string((1, 1)) == "1 + q"
     assert poly_string((1, 0, 2)) == "1 + 2*q^2"
-
-
-def test_table_deterministic_across_schedules():
-    system = weyl_system(build_root_datum("A", 3))
-    text_seq = format_kl_table(kl_table(system))
-    text_blocks = format_kl_table(kl_table(system, workers=3, schedule="blocks"))
-    text_stripes = format_kl_table(kl_table(system, workers=2, schedule="stripes"))
-    assert text_seq == text_blocks == text_stripes
 
 
 def test_table_requires_bound_for_affine():
