@@ -31,6 +31,7 @@ from .coxeter import (
     CoxeterSystem,
     left_descents,
     parabolic_quotient,
+    right_descents,
     _symmetrizer,
 )
 from .endoscopy import straighten
@@ -418,7 +419,6 @@ def affine_strata_index(strat: AffineStratification, bound, parabolic=(),
     bound_c = _bound_coords(strat.datum, bound)
     sign = 1 if strat.level_class is LevelClass.POSITIVE else -1
     datum, system, k = strat.datum, strat.system, strat.level
-    jpos = {system._position(j) for j in strat.singular}
     kset = frozenset(parabolic)
 
     # ambient coordinate vector contributed by each endoscopic simple coroot
@@ -448,7 +448,8 @@ def affine_strata_index(strat: AffineStratification, bound, parabolic=(),
                 d = sign * val
                 if d < 0:
                     continue  # a descent direction, not a new representative
-                assert d == int(d), "integral pairings must stay integral"
+                if d != int(d):
+                    raise AssertionError("integral pairings must stay integral")
                 new_coords = tuple(
                     c + int(d) * s for c, s in zip(coords, steps[pos]))
                 if any(c > b for c, b in zip(new_coords, bound_c)):
@@ -456,7 +457,7 @@ def affine_strata_index(strat: AffineStratification, bound, parabolic=(),
                 new_word = system._canonical((pos,) + word)
                 if len(new_word) != len(word) + 1 or new_word in seen:
                     continue
-                if any(system._right_descent(new_word, j) for j in jpos):
+                if right_descents(CoxeterElement(system, new_word)) & strat.singular:
                     continue
                 seen.add(new_word)
                 coroot = strat.simple_coroots[pos][0]
@@ -515,7 +516,8 @@ def critical_strata_index(strat: AffineStratification, beta):
             continue
         coroot = strat.simple_coroots[pos][0]
         weights.append(invariant_form(datum, coroot, lam))
-        assert weights[-1] > 0
+        if weights[-1] <= 0:
+            raise AssertionError("nonsingular coroots must pair positively with lambda'")
 
     alphas = []
 

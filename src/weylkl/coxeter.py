@@ -4,12 +4,20 @@ A :class:`CoxeterSystem` is backed by a generalized Cartan matrix acting on
 its own root lattice (``gcm[i][j] = <alpha_j, alpha_i^vee>``), which covers
 every system this package needs: finite Weyl groups, reflection subgroups
 presented by their own Cartan data, and affinizations.  Elements are stored
-as canonical reduced words: the lexicographically least reduced expression,
-obtained by greedily taking the smallest left descent.
+as canonical reduced words: the lexicographically least reduced expression.
+
+Every canonical word, descent and translation is read off the root-lattice
+action.  An element w is given by its columns w^{-1}(alpha_j); s_i is a left
+descent exactly when w^{-1}(alpha_i) is negative, and one routine,
+``CoxeterSystem._descend``, strips the smallest left descent until none is
+left, spelling the canonical word.  Descents, parabolic projections, double
+coset minima, the Bruhat order, translations t_mu and the reflection in the
+highest root all go through it.
 
 Finite systems (and length-bounded balls of affine ones) are enumerated
-lazily into multiplication tables keyed by the matrix of the root-lattice
-action, so products, descents and Bruhat tests are cheap afterwards.
+lazily into multiplication tables, so products, descents and Bruhat tests
+are cheap afterwards; once a finite table is complete, canonical words are
+read from it in O(length).
 
 >>> system = weyl_system(build_root_datum("A", 2))
 >>> w0 = longest_element(system)
@@ -26,14 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import leading_pivots
-from .rootdata import (
-    RootDatum,
-    build_root_datum,
-    pairing,
-    reflect,
-    reflect_coweight_by_root,
-    translation_length,
-)
+from .rootdata import RootDatum, build_root_datum, pairing, reflect, translation_length
 
 __all__ = [
     "CoxeterSystem",
@@ -51,7 +52,6 @@ __all__ = [
     "coweight_action",
     "translation_element",
     "affine_decompose",
-    "affine_elements_up_to",
     "affine_length_from_parts",
 ]
 
@@ -84,6 +84,10 @@ class CoxeterSystem:
         self.affine_of = affine_of  # RootDatum when this is an affinization
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
         self._hash = hash((self.gcm, self.labels))
+        self._unit_columns = tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
+        self._bonds = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in gcm)
         self._tab = None  # enumeration tables
         self._kind = None
 
@@ -171,74 +175,49 @@ class CoxeterSystem:
     def is_finite(self):
         return self.kind == "finite"
 
-    # -- word engine (no enumeration required) --------------------------
+    # -- the root-lattice action ------------------------------------------
+    #
+    # An element w is read off its columns w^{-1}(alpha_j), j = 0..rank-1,
+    # each in root coordinates.  s_i is a left descent of w exactly when
+    # w^{-1}(alpha_i) is negative (Bjorner-Brenti, GTM 231, ch. 4), and the
+    # columns of s_i*w are w^{-1}(s_i alpha_j) = c_j - gcm[i][j] * c_i.
 
-    def _apply_gen(self, i, vec):
-        """Simple reflection s_i on a root-coordinate vector."""
-        row = self.gcm[i]
-        pair = 0
-        for j, v in enumerate(vec):
-            if v:
-                pair += row[j] * v
-        out = list(vec)
-        out[i] = vec[i] - pair
+    def _reflect_columns(self, cols, i):
+        """Columns of s_i * w from the columns of w."""
+        ci = cols[i]
+        out = list(cols)
+        for j, a in self._bonds[i]:  # j == i gives c_i - 2 c_i = -c_i
+            out[j] = tuple(x - a * y for x, y in zip(cols[j], ci))
         return tuple(out)
 
-    def _act(self, word, vec):
-        """Apply the group element of ``word`` (letters composed left-to-right)."""
+    def _columns(self, word):
+        """Columns w^{-1}(alpha_j) of the element spelled by ``word``."""
+        cols = self._unit_columns
         for i in reversed(word):
-            vec = self._apply_gen(i, vec)
-        return vec
+            cols = self._reflect_columns(cols, i)
+        return cols
 
-    def _simple_root(self, i):
-        return tuple(int(j == i) for j in range(self.rank))
+    def _descend(self, cols, bound, gens=None):
+        """Strip the smallest left descent of w among ``gens`` while there is one.
 
-    @staticmethod
-    def _is_negative(vec):
-        return all(c <= 0 for c in vec)
-
-    def _right_descent(self, word, i):
-        return self._is_negative(self._act(word, self._simple_root(i)))
-
-    def _left_descent(self, word, i):
-        vec = self._simple_root(i)
-        for t in word:  # apply the inverse: letters left-to-right
-            vec = self._apply_gen(t, vec)
-        return self._is_negative(vec)
-
-    def _min_left_descent(self, word):
-        for i in range(self.rank):
-            if self._left_descent(word, i):
-                return i
-        return None
-
-    def _strip_right(self, word, i):
-        """Reduced word of w * s_i when that shortens w (strong exchange)."""
-        vec = self._simple_root(i)
-        for idx in range(len(word) - 1, -1, -1):
-            if vec == self._simple_root(word[idx]):
-                return word[:idx] + word[idx + 1:]
-            vec = self._apply_gen(word[idx], vec)
-        raise AssertionError("strong exchange failed; word was not reduced")
-
-    def _strip_left(self, word, i):
-        """Reduced word of s_i * w when that shortens w."""
-        for k in range(len(word)):
-            vec = self._simple_root(word[k])
-            for t in reversed(word[:k]):
-                vec = self._apply_gen(t, vec)
-            if vec == self._simple_root(i):
-                return word[:k] + word[k + 1:]
-        raise AssertionError("strong exchange failed; word was not reduced")
-
-    def _reduce(self, word):
-        res = ()
-        for s in word:
-            if res and self._right_descent(res, s):
-                res = self._strip_right(res, s)
+        ``cols`` are the columns of w and ``bound`` a length that the caller
+        knows w not to exceed.  Returns the stripped letters and the columns
+        of what is left.  With ``gens`` left to all generators the letters
+        are w's canonical word and what is left is the identity.
+        """
+        gens = range(self.rank) if gens is None else gens
+        word = []
+        while True:
+            for i in gens:
+                if min(cols[i]) < 0:
+                    break
             else:
-                res = res + (s,)
-        return res
+                return tuple(word), cols
+            if len(word) >= bound:
+                raise AssertionError(
+                    f"more than {bound} left descents; the length bound is wrong")
+            word.append(i)
+            cols = self._reflect_columns(cols, i)
 
     def _canonical(self, word):
         """Lexicographically least reduced word equal to ``word``."""
@@ -248,13 +227,7 @@ class CoxeterSystem:
             for s in word:
                 ident = rmult[ident][s]
             return self._tab["words"][ident]
-        cur = self._reduce(tuple(word))
-        out = []
-        while cur:
-            i = self._min_left_descent(cur)
-            out.append(i)
-            cur = self._strip_left(cur, i)
-        return tuple(out)
+        return self._descend(self._columns(word), len(word))[0]
 
     # -- elements --------------------------------------------------------
 
@@ -283,72 +256,67 @@ class CoxeterSystem:
     # -- enumeration -----------------------------------------------------
 
     def _ensure_tables(self, up_to=None):
-        """Enumerate the group (finite) or the length ball (affine)."""
+        """Enumerate the group (finite) or the length ball (affine).
+
+        Breadth first by length, so ids run in order of length.  s_i * g is
+        new only when s_i is not a left descent of g, and then it is one
+        longer, so each level's columns are matched against the next level
+        alone.  Right products follow from g * s_i = s_a * (h * s_i) with
+        a = fld[g] and h = s_a * g.
+        """
         if up_to is None and not self.is_finite:
             raise ValueError("system is infinite; a length bound is required")
         if self._tab is not None:
             if self._tab["complete"] or (up_to is not None and self._tab["max_len"] >= up_to):
                 return self._tab
         n = self.rank
-        ident = tuple(self._simple_root(i) for i in range(n))
-        cols = [ident]
-        key2id = {ident: 0}
         length = [0]
         lmult = [[None] * n]
-        frontier = [0]
+        frontier = [(0, self._unit_columns)]
         cur_len = 0
         complete = True
         while frontier:
             if up_to is not None and cur_len >= up_to:
                 complete = False
                 break
-            nxt = []
-            for g in frontier:
-                gc = cols[g]
+            nxt, key2id = [], {}
+            for g, cols in frontier:
+                row = lmult[g]
                 for i in range(n):
-                    key = tuple(self._apply_gen(i, col) for col in gc)
+                    if row[i] is not None:
+                        continue  # a left descent: s_i * g is already known
+                    key = self._reflect_columns(cols, i)
                     known = key2id.get(key)
                     if known is None:
-                        known = len(cols)
+                        known = len(length)
                         if known > _ENUM_LIMIT:
                             raise ValueError(
                                 f"enumeration limit exceeded: more than "
                                 f"{_ENUM_LIMIT} elements")
-                        cols.append(key)
                         key2id[key] = known
                         length.append(cur_len + 1)
                         lmult.append([None] * n)
-                        nxt.append(known)
-                    lmult[g][i] = known
+                        nxt.append((known, key))
+                    row[i] = known
                     lmult[known][i] = g
             frontier = nxt
             cur_len += 1
-        size = len(cols)
-        words = [None] * size
-        words[0] = ()
+        size = len(length)
+        words = [()] * size
         fld = [None] * size
-        order = sorted(range(size), key=lambda g: length[g])
-        for g in order[1:]:
-            for i in range(n):
-                h = lmult[g][i]
-                if h is not None and length[h] < length[g]:
-                    fld[g] = i
-                    words[g] = (i,) + words[h]
-                    break
-        rmult = [[None] * n for _ in range(size)]
-        for g in range(size):
-            gc = cols[g]
-            for i in range(n):
-                key = tuple(
-                    tuple(c - self.gcm[i][j] * ci for c, ci in zip(col, gc[i]))
-                    if j != i else tuple(-c for c in gc[i])
-                    for j, col in enumerate(gc)
-                )
-                rmult[g][i] = key2id.get(key)
+        rmult = [list(lmult[0])]
+        for g in range(1, size):
+            row = lmult[g]
+            a = next(i for i, h in enumerate(row)
+                     if h is not None and length[h] < length[g])
+            h = row[a]
+            fld[g] = a
+            words[g] = (a,) + words[h]
+            rmult.append([lmult[x][a] for x in rmult[h]])
         self._tab = {
-            "cols": cols, "key2id": key2id, "length": length,
-            "lmult": lmult, "rmult": rmult, "words": words, "fld": fld,
-            "complete": complete, "max_len": cur_len if not complete else max(length),
+            "length": length, "lmult": lmult, "rmult": rmult, "words": words,
+            "fld": fld, "complete": complete,
+            "max_len": cur_len if not complete else max(length),
             "size": size, "bruhat": None,
         }
         return self._tab
@@ -380,10 +348,9 @@ class CoxeterSystem:
         if tab["bruhat"] is not None:
             return tab["bruhat"]
         size, length, lmult, fld = tab["size"], tab["length"], tab["lmult"], tab["fld"]
-        order = sorted(range(size), key=lambda g: length[g])
         cols = [0] * size
         cols[0] = 1  # only e <= e
-        for w in order[1:]:
+        for w in range(1, size):  # ids run in order of length
             s = fld[w]
             sw = lmult[w][s]
             base = cols[sw]
@@ -445,7 +412,10 @@ class CoxeterElement:
         return CoxeterElement(self.system, self.system._canonical(tuple(reversed(self.word))))
 
     def apply_to_root(self, vec):
-        return self.system._act(self.word, tuple(vec))
+        """w(vec) for a root-coordinate vector, from the images w(alpha_j)."""
+        images = self.system._columns(self.word[::-1])  # the columns of w^{-1}
+        return tuple(sum(v * image[k] for v, image in zip(vec, images))
+                     for k in range(self.system.rank))
 
     def __repr__(self):
         if not self.word:
@@ -466,31 +436,39 @@ def multiply(a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
     return CoxeterElement(system, system._canonical(a.word + b.word))
 
 
+def _negative_columns(system, cols):
+    return {system.labels[i] for i, col in enumerate(cols) if min(col) < 0}
+
+
 def left_descents(w: CoxeterElement):
-    system = w.system
-    return {system.labels[i] for i in range(system.rank) if system._left_descent(w.word, i)}
+    return _negative_columns(w.system, w.system._columns(w.word))
 
 
 def right_descents(w: CoxeterElement):
-    system = w.system
-    return {system.labels[i] for i in range(system.rank) if system._right_descent(w.word, i)}
+    return _negative_columns(w.system, w.system._columns(w.word[::-1]))
 
 
 def bruhat_leq(y: CoxeterElement, w: CoxeterElement) -> bool:
-    """Subword criterion for the Bruhat order, via the lifting property."""
+    """Bruhat order by the lifting property along w's canonical word.
+
+    Its first letter s is a left descent of w, and y <= w iff
+    min(y, s*y) <= s*w; once y is as long as what is left of w they must
+    be equal.
+    """
     system = _require_same_system(y, w)
-    yw, ww = y.word, w.word
-    while True:
-        if len(yw) > len(ww):
-            return False
-        if len(yw) == len(ww):
-            return yw == ww
-        if not yw:
-            return True
-        s = ww[0]  # a left descent of w (canonical words start with one)
-        ww = ww[1:]
-        if system._left_descent(yw, s):
-            yw = system._strip_left(yw, s)
+    cols, ylen, ww = system._columns(y.word), y.length, w.word
+    k = 0
+    while 0 < ylen < len(ww) - k:
+        s = ww[k]
+        if min(cols[s]) < 0:
+            cols = system._reflect_columns(cols, s)
+            ylen -= 1
+        k += 1
+    if ylen > len(ww) - k:
+        return False
+    if ylen == len(ww) - k:  # suffixes of canonical words are canonical
+        return system._descend(cols, ylen)[0] == ww[k:]
+    return True
 
 
 def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
@@ -524,56 +502,51 @@ def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
     return tuple(out)
 
 
+def _positions(system, labels):
+    return sorted(system._position(lab) for lab in labels)
+
+
 def parabolic_project(w: CoxeterElement, J):
-    """Write w = u * v with u the minimal coset representative and v in W_J."""
+    """Write w = u * v with u the minimal coset representative and v in W_J.
+
+    v^{-1} is what stripping the left descents in J takes off w^{-1}.
+    """
     system = w.system
-    Jpos = {system._position(j) for j in J}
-    word = w.word
-    v_rev = []
-    while True:
-        j = next((j for j in sorted(Jpos) if system._right_descent(word, j)), None)
-        if j is None:
-            break
-        word = system._strip_right(word, j)
-        v_rev.append(j)
-    u = CoxeterElement(system, system._canonical(word))
-    v = CoxeterElement(system, system._canonical(tuple(reversed(v_rev))))
+    v_inv = system._descend(system._columns(w.word[::-1]), w.length,
+                            _positions(system, J))[0]
+    u = CoxeterElement(system, system._canonical(w.word + v_inv))
+    v = CoxeterElement(system, system._canonical(v_inv[::-1]))
     return u, v
 
 
 def double_coset_minimum(w: CoxeterElement, I, J) -> CoxeterElement:
-    """The minimal-length element of the double coset W_I w W_J."""
+    """The minimal-length element of the double coset W_I w W_J.
+
+    Stripping left descents in I from the minimal u in w W_J creates no
+    right descent in J, so it ends at the minimum.
+    """
     system = w.system
-    Ipos = {system._position(i) for i in I}
-    Jpos = {system._position(j) for j in J}
-    word = w.word
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(Ipos):
-            if system._left_descent(word, i):
-                word = system._strip_left(word, i)
-                changed = True
-        for j in sorted(Jpos):
-            if system._right_descent(word, j):
-                word = system._strip_right(word, j)
-                changed = True
-    return CoxeterElement(system, system._canonical(word))
+    Ipos = _positions(system, I)
+    u = parabolic_project(w, J)[0]
+    stripped, cols = system._descend(system._columns(u.word), u.length, Ipos)
+    return CoxeterElement(system, system._descend(cols, u.length - len(stripped))[0])
 
 
 def longest_element(system: CoxeterSystem, J=None) -> CoxeterElement:
     """Longest element of W_J (J defaults to the full generator set)."""
-    Jpos = sorted(range(system.rank)) if J is None else sorted(system._position(j) for j in J)
+    Jpos = list(range(system.rank)) if J is None else _positions(system, J)
     if Jpos:
         sub = [[system.gcm[i][j] for j in Jpos] for i in Jpos]
         if not CoxeterSystem(sub).is_finite:
             raise ValueError("the requested parabolic subgroup is infinite")
-    word = ()
+    # append right ascents to w; the columns of w^{-1} show them
+    cols, length = system._unit_columns, 0
     while True:
-        asc = next((i for i in Jpos if not system._right_descent(word, i)), None)
-        if asc is None:
-            return CoxeterElement(system, system._canonical(word))
-        word = word + (asc,)
+        asc = next((i for i in Jpos if min(cols[i]) >= 0), None)
+        if asc is None:  # w0_J is an involution: these are its own columns
+            return CoxeterElement(system, system._descend(cols, length)[0])
+        cols = system._reflect_columns(cols, asc)
+        length += 1
 
 
 # -- Weyl groups and affinizations ---------------------------------------
@@ -620,83 +593,29 @@ def coweight_action(w: CoxeterElement, vec):
     return vec
 
 
-def _affine_gen_apply(datum, label, wbar_inv_cols, mu):
-    """Left-multiply (wbar, mu) by the generator ``label`` of the affinization.
-
-    ``wbar_inv_cols`` is the root-side action of wbar^{-1} as the tuple of
-    images of the simple roots.  Returns the updated pair.
-    """
-    r = datum.rank
-    if label == 0:
-        theta, theta_vee = datum.highest_root, datum.highest_root_coroot
-        mu = reflect_coweight_by_root(datum, theta, theta_vee, mu)
-        mu = tuple(m + t for m, t in zip(mu, theta_vee))
-        refl = lambda v: tuple(
-            x - pairing(datum, v, theta_vee) * t for x, t in zip(v, theta)
-        )
-    else:
-        i = label - 1
-        mu = reflect(datum, i, mu, side="coweight")
-        refl = lambda v: reflect(datum, i, v, side="root")
-    # wbar <- s * wbar, hence wbar^{-1} <- wbar^{-1} * s: postcompose columns
-    new_cols = []
-    for b in range(r):
-        basis = refl(tuple(int(j == b) for j in range(r)))
-        img = [Fraction(0)] * r
-        for coeff, col in zip(basis, wbar_inv_cols):
-            if coeff:
-                img = [x + coeff * c for x, c in zip(img, col)]
-        new_cols.append(tuple(img))
-    return tuple(new_cols), mu
-
-
-def _affine_min_left_descent(datum, wbar_inv_cols, mu):
-    """Smallest label i with l(s_i x) < l(x) for x = (wbar, mu); None at e."""
-    theta = datum.highest_root
-    # label 0: the affine root (-theta, 1) pulled back along x
-    level = 1 - pairing(datum, theta, mu)
-    if level < 0:
-        return 0
-    if level == 0:
-        img = [Fraction(0)] * datum.rank
-        for coeff, col in zip(theta, wbar_inv_cols):
-            img = [x - coeff * c for x, c in zip(img, col)]
-        if all(c <= 0 for c in img):
-            return 0
-    for i in range(datum.rank):
-        c = pairing(datum, datum.simple_roots[i], mu)
-        if c < 0:
-            return i + 1
-        if c == 0 and all(x <= 0 for x in wbar_inv_cols[i]):
-            return i + 1
-    return None
-
-
 def translation_element(affsys: CoxeterSystem, mu) -> CoxeterElement:
-    """The translation t_mu as an element of the affinization."""
+    """The translation t_mu as an element of the affinization.
+
+    Read off the columns of t_mu^{-1}, which sends beta + m*delta to
+    beta + (m + <beta, mu>) delta, where delta = alpha_0 + theta.
+    """
     datum = affsys.affine_of
     if datum is None:
         raise ValueError("translation elements require an affinization system")
     mu = tuple(int(m) for m in mu)
     if len(mu) != datum.rank:
         raise ValueError("coweight length does not match the rank")
-    wbar_inv = tuple(tuple(Fraction(int(i == j)) for j in range(datum.rank))
-                     for i in range(datum.rank))
-    cur = tuple(Fraction(m) for m in mu)
+    delta = (1,) + tuple(datum.highest_root)
+    shifts = [-pairing(datum, datum.highest_root, mu)]  # alpha_0 = delta - theta
+    shifts += [pairing(datum, alpha, mu) for alpha in datum.simple_roots]
+    cols = tuple(
+        tuple(e + int(shift) * d for e, d in zip(unit, delta))
+        for unit, shift in zip(affsys._unit_columns, shifts))
     expected = int(translation_length(datum, mu))
-    word = []
-    for _ in range(expected):
-        lab = _affine_min_left_descent(datum, wbar_inv, cur)
-        if lab is None:
-            break
-        word.append(lab)
-        wbar_inv, cur = _affine_gen_apply(datum, lab, wbar_inv, cur)
-    identity = tuple(tuple(Fraction(int(i == j)) for j in range(datum.rank))
-                     for i in range(datum.rank))
-    assert wbar_inv == identity and all(c == 0 for c in cur), \
-        "translation reduction must end at the identity"
-    assert len(word) == expected, "word model disagrees with the translation length formula"
-    return affsys._element(word)  # greedy min-descent words are canonical
+    word = affsys._descend(cols, expected)[0]
+    if len(word) != expected:
+        raise AssertionError("translation word disagrees with the length formula")
+    return affsys._element(word)
 
 
 def affine_decompose(w: CoxeterElement):
@@ -712,40 +631,33 @@ def affine_decompose(w: CoxeterElement):
     fin = weyl_system(datum)
     wbar = fin.identity
     mu = tuple(Fraction(0) for _ in range(datum.rank))
-    theta, theta_vee = datum.highest_root, datum.highest_root_coroot
+    theta_vee = datum.highest_root_coroot
     for p in w.word:  # positions equal labels in affinizations
         if p == 0:
             shift = coweight_action(wbar, theta_vee)
             mu = tuple(m + s for m, s in zip(mu, shift))
-            wbar = multiply(wbar, fin.element((_theta_word(datum))))
+            wbar = multiply(wbar, fin.element(_theta_word(datum)))
         else:
             wbar = multiply(wbar, fin.generator(p))
-    assert all(m.denominator == 1 for m in mu)
+    if any(m.denominator != 1 for m in mu):
+        raise AssertionError("translation part must be integral")
     return wbar, tuple(int(m) for m in mu)
 
 
 @lru_cache(maxsize=None)
 def _theta_word(datum: RootDatum):
-    """Reduced word (labels) of the reflection in the highest root."""
+    """Reduced word (labels) of the reflection in the highest root.
+
+    s_theta is an involution, so its columns are its own images
+    s_theta(alpha_j) = alpha_j - <alpha_j, theta^vee> theta.
+    """
     fin = weyl_system(datum)
-    tab = fin._ensure_tables()
     theta, theta_vee = datum.highest_root, datum.highest_root_coroot
-    target = []
-    for b in range(datum.rank):
-        basis = tuple(int(j == b) for j in range(datum.rank))
-        pair = int(pairing(datum, basis, theta_vee))
-        target.append(tuple(v - pair * t for v, t in zip(basis, theta)))
-    g = tab["key2id"][tuple(target)]
-    return fin._element(tab["words"][g]).word_labels
-
-
-def affine_elements_up_to(affsys: CoxeterSystem, length_bound: int):
-    """All elements of length <= bound, sorted by (length, word)."""
-    tab = affsys._ensure_tables(up_to=length_bound)
-    out = [affsys._element(tab["words"][g]) for g in range(tab["size"])
-           if tab["length"][g] <= length_bound]
-    out.sort(key=lambda w: (w.length, w.word))
-    return tuple(out)
+    cols = tuple(
+        tuple(u - int(pairing(datum, unit, theta_vee)) * t for u, t in zip(unit, theta))
+        for unit in fin._unit_columns)
+    word = fin._descend(cols, len(datum.positive_roots))[0]
+    return tuple(fin.labels[p] for p in word)
 
 
 def affine_length_from_parts(datum: RootDatum, wbar: CoxeterElement, mu) -> int:
@@ -758,7 +670,8 @@ def affine_length_from_parts(datum: RootDatum, wbar: CoxeterElement, mu) -> int:
             m = pairing(datum, wg, mu)
             lo = Fraction(j0)
             if m > lo:
-                assert m.denominator == 1
+                if m.denominator != 1:
+                    raise AssertionError("affine inversion counts must be integral")
                 total += int(m - lo)
             if m >= lo and all(c <= 0 for c in wg):
                 total += 1

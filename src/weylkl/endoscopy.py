@@ -112,9 +112,7 @@ def _endoscopic_system(datum: RootDatum, simple_indices):
                 raise AssertionError("subsystem Cartan pairings must be integers")
             row.append(int(value))
         gcm.append(row)
-    system = CoxeterSystem(gcm, labels=range(1, size + 1))
-    system.subsystem_of = (datum, simple_indices)
-    return system
+    return CoxeterSystem(gcm, labels=range(1, size + 1))
 
 
 def endoscopic_system(datum: RootDatum, simple_indices) -> CoxeterSystem:
@@ -178,8 +176,7 @@ def _subgroup_matrices(datum: RootDatum, simple_indices):
     tab = system._ensure_tables()
     matrices = [None] * tab["size"]
     matrices[0] = identity
-    order = sorted(range(tab["size"]), key=lambda g: tab["length"][g])
-    for g in order[1:]:
+    for g in range(1, tab["size"]):  # ids run in order of length
         s = tab["fld"][g]
         h = tab["lmult"][g][s]  # shorter neighbour: g = s_s * h
         cols = []
@@ -217,7 +214,8 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
                 break
         else:
             mover = CoxeterElement(system, system._canonical(tuple(word)))
-            assert len(mover.word) == len(word), "straightening word must be reduced"
+            if len(mover.word) != len(word):
+                raise AssertionError("straightening word must be reduced")
             return vec, mover
         word.append(i)
         vec = tuple(c - value * cr for c, cr in zip(vec, coroots[i]))

@@ -175,7 +175,8 @@ def fold(source: RootDatum, sigma) -> FoldingDatum:
     orbits = _orbits(sig)
     d = lcm(*(len(orbit) for orbit in orbits))
     d_i = tuple(len(orbit) for orbit in orbits)
-    assert d == max(d_i), "automorphism order must equal the largest orbit"
+    if d != max(d_i):
+        raise AssertionError("automorphism order must equal the largest orbit")
 
     a = source.cartan_matrix
     m = len(orbits)

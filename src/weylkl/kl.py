@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
 
 from .coxeter import CoxeterElement, CoxeterSystem
 
@@ -124,9 +125,12 @@ def _kl_ids(tab, cols, yid, wid, memo):
                 term = _pshift(_kl_ids(tab, cols, yid, zid, memo),
                                (lw - length[zid]) // 2)
                 res = _psub(res, tuple(mu * c for c in term))
-        assert res and res[0] == 1, "constant term of a KL polynomial must be 1"
-        assert len(res) - 1 <= (diff - 1) // 2, "KL degree bound violated"
-        assert all(c >= 0 for c in res), "KL coefficients must be nonnegative"
+        if not res or res[0] != 1:
+            raise AssertionError("constant term of a KL polynomial must be 1")
+        if len(res) - 1 > (diff - 1) // 2:
+            raise AssertionError("KL degree bound violated")
+        if min(res) < 0:
+            raise AssertionError("KL coefficients must be nonnegative")
     memo[key] = res
     return res
 
@@ -231,7 +235,9 @@ class KLFileCache:
 
     Only systems carrying a parseable tag ("A 3", "A~ 1", ...) are
     persisted; systems constructed from ad-hoc Cartan data keep their
-    polynomials in memory only.
+    polynomials in memory only.  Loading refuses, naming ``path:line``, a
+    line that cannot be a KL polynomial: constant term other than 1, a
+    negative coefficient, or degree above (l(w) - l(y) - 1) / 2.
     """
 
     def __init__(self, path=None):
@@ -253,9 +259,14 @@ class KLFileCache:
                 try:
                     tag, ytext, wtext, ctext = (part.strip() for part in line.split("|"))
                     key = (tag, _parse_word(ytext), _parse_word(wtext))
-                    self.entries[key] = tuple(int(c) for c in ctext.split(","))
+                    coeffs = tuple(int(c) for c in ctext.split(","))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed cache line") from exc
+                gap = len(key[2]) - len(key[1])
+                if coeffs[0] != 1 or min(coeffs) < 0 or 2 * (len(coeffs) - 1) > gap - 1:
+                    raise ValueError(f"{path}:{lineno}: not a KL polynomial of "
+                                     f"a pair with length gap {gap}")
+                self.entries[key] = coeffs
 
     @staticmethod
     def _key(system, y, w):
@@ -277,13 +288,20 @@ class KLFileCache:
     def save(self):
         if not self.path or not self.dirty:
             return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(_CACHE_MAGIC + "\n")
-            for (tag, yw, ww) in sorted(self.entries):
-                coeffs = ",".join(str(c) for c in self.entries[(tag, yw, ww)])
-                handle.write(f"{tag} | {_word_text(yw)} | {_word_text(ww)} | {coeffs}\n")
-        os.replace(tmp, self.path)
+        # a temp file of our own beside the target, so concurrent writers
+        # never share one; os.replace then swaps it in atomically
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)),
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(_CACHE_MAGIC + "\n")
+                for (tag, yw, ww) in sorted(self.entries):
+                    coeffs = ",".join(str(c) for c in self.entries[(tag, yw, ww)])
+                    handle.write(f"{tag} | {_word_text(yw)} | {_word_text(ww)} | {coeffs}\n")
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self.dirty = False
 
     def __len__(self):

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists (rows) of ``Fraction``/``int``; nothing here is
 numerical.  Only the handful of routines the rest of the package needs:
-row reduction, rank, kernel basis, inverse, a linear solver, and the
-pivots that give the signs of the leading principal minors.
+row reduction, rank, kernel basis, inverse, and the pivots that give the
+signs of the leading principal minors.
 
 >>> rank([[1, 2], [2, 4]])
 1
@@ -21,7 +21,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "invert_unitriangular",
-    "solve",
     "rref",
     "leading_pivots",
 ]
@@ -98,21 +97,6 @@ def kernel_basis(mat):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return basis
-
-
-def solve(mat, rhs):
-    """One solution of mat @ x = rhs, or None if the system is inconsistent."""
-    if not mat:
-        return [] if all(b == 0 for b in rhs) else None
-    n_cols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    if n_cols in pivots:  # pivot in the augmented column
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][n_cols]
-    return x
 
 
 def invert_unitriangular(mat):

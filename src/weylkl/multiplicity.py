@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import CoxeterElement, bruhat_leq, longest_element, multiply
+from .coxeter import CoxeterElement, longest_element, multiply
 from .endoscopy import Stratification, coweight_orbit_action
 from .kl import KLFileCache, kl_polynomial, _padd, _pshift
 from .linalg import invert_unitriangular

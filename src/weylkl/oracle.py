@@ -194,8 +194,9 @@ class VermaModel:
             rows, pivots = [], []
         basis = tuple(k for k in range(len(words)) if k not in pivots)
         expected = _partition_count(self.datum, beta)
-        assert len(basis) == expected, (
-            "weight-space dimension must equal the partition count")
+        if len(basis) != expected:
+            raise AssertionError(
+                "weight-space dimension must equal the partition count")
         pivot_rows = {p: rows[r] for r, p in enumerate(pivots)}
 
         def reduction(combination):
@@ -312,7 +313,8 @@ def required_depth(strat) -> int:
     for hw in index_highest_weights(strat):
         diff = tuple(t - Fraction(h) - r
                      for t, h, r in zip(top, hw, strat.datum.rho))
-        assert all(d.denominator == 1 and d >= 0 for d in diff)
+        if not all(d.denominator == 1 and d >= 0 for d in diff):
+            raise AssertionError("index weights must lie below the top weight")
         heights.append(sum(int(d) for d in diff))
     return max(heights) + 2
 
@@ -366,7 +368,8 @@ def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
                 rel = tuple(
                     dy - dz for dy, dz in zip(drops[y], drops[z]))
                 val -= matrix[w][z] * simple_dim(z, rel)
-            assert val >= 0, "character peeling must stay nonnegative"
+            if val < 0:
+                raise AssertionError("character peeling must stay nonnegative")
             matrix[w][y] = val
         # verify the peeled identity on every weight within the bound
         for gamma in _height_grid(datum.rank, depth):
@@ -376,5 +379,6 @@ def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
                 matrix[w][y] * simple_dim(
                     y, tuple(g - d for g, d in zip(gamma, drops[y])))
                 for y in range(size))
-            assert want == have, "character identity failed inside the bound"
+            if want != have:
+                raise AssertionError("character identity failed inside the bound")
     return matrix

@@ -213,7 +213,8 @@ def build_root_datum(cartan_type: str, rank: int) -> RootDatum:
     rho = tuple(Fraction(sum(c[j] for c in coroots), 2) for j in range(rank))
     datum = RootDatum(cartan_type, rank, cartan, roots, coroots, rho)
     for i in range(rank):
-        assert pairing(datum, roots[i], rho) == 1, "rho must pair to 1 with each simple"
+        if pairing(datum, roots[i], rho) != 1:
+            raise AssertionError("rho must pair to 1 with each simple")
     return datum
 
 

@@ -235,6 +235,16 @@ def test_cache_round_trip(tmp_path, monkeypatch, capsys):
     assert again == first
 
 
+def test_corrupt_cache_file_exits_one(tmp_path, monkeypatch, capsys):
+    store = tmp_path / "cache.txt"
+    store.write_text("KLCACHE v1\nA 3 | - | 2,1,3,2 | 1,-1\n")
+    monkeypatch.setenv("WEYLKL_CACHE", str(store))
+    code, out, err = run(capsys, "kl", "--type", "A", "--rank", "3",
+                         "--y", "e", "--w", "2,1,3,2")
+    assert code == 1 and not out
+    assert f"{store}:2:" in err
+
+
 def test_domain_error_exits_one(capsys):
     code, out, err = run(capsys, "roots", "--type", "X", "--rank", "2")
     assert code == 1

@@ -1,6 +1,7 @@
 """Tests for the Coxeter engine: words, enumeration, Bruhat order, affine model."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,7 +11,6 @@ from weylkl.rootdata import build_root_datum, translation_length
 from weylkl.coxeter import (
     CoxeterSystem,
     affine_decompose,
-    affine_elements_up_to,
     affine_length_from_parts,
     affinization,
     bruhat_leq,
@@ -129,9 +129,96 @@ def test_canonical_words_are_lex_least_reduced():
             continue
         candidates = [
             word for word in product(range(system.rank), repeat=w.length)
-            if system._reduce(word) == word and system._canonical(word) == w.word
+            if len(system._canonical(word)) == len(word) and system._canonical(word) == w.word
         ]
         assert w.word == min(candidates)
+
+
+@pytest.mark.parametrize("datum", [A3, build_root_datum("B", 3), G2])
+def test_canonical_without_tables_matches_complete_tables(datum):
+    tables = CoxeterSystem(datum.cartan_matrix)
+    fresh = CoxeterSystem(datum.cartan_matrix)  # no tables: the one routine
+    for word in tables._ensure_tables()["words"]:
+        assert fresh._canonical(word) == word
+        assert fresh._canonical(word[::-1]) == tables._canonical(word[::-1])
+    assert fresh._tab is None
+
+
+@pytest.mark.parametrize("letter", ["D", "F"])
+def test_canonical_of_random_words_matches_complete_tables(letter):
+    datum = build_root_datum(letter, 4)
+    tables = CoxeterSystem(datum.cartan_matrix)
+    tables._ensure_tables()
+    fresh = CoxeterSystem(datum.cartan_matrix)
+    rng = random.Random(f"canonical {letter}4")
+    for _ in range(500):
+        word = tuple(rng.randrange(4) for _ in range(rng.randint(0, 30)))
+        assert fresh._canonical(word) == tables._canonical(word)
+    assert fresh._tab is None
+
+
+def test_descend_refuses_more_letters_than_its_bound():
+    system = CoxeterSystem(A3.cartan_matrix)
+    cols = system._columns((0, 1, 0))
+    assert system._descend(cols, 3)[0] == (0, 1, 0)
+    with pytest.raises(AssertionError, match="length bound"):
+        system._descend(cols, 2)
+
+
+@pytest.mark.parametrize("datum", [A3, B2, G2, build_root_datum("D", 4)])
+def test_descents_from_columns_match_tables(datum):
+    tables = CoxeterSystem(datum.cartan_matrix)
+    tab = tables._ensure_tables()
+    fresh = CoxeterSystem(datum.cartan_matrix)
+    length, lmult, rmult = tab["length"], tab["lmult"], tab["rmult"]
+    for g, word in enumerate(tab["words"]):
+        w = fresh._element(word)
+        assert left_descents(w) == {
+            fresh.labels[i] for i, h in enumerate(lmult[g]) if length[h] < length[g]}
+        assert right_descents(w) == {
+            fresh.labels[i] for i, h in enumerate(rmult[g]) if length[h] < length[g]}
+
+
+def _right_products_are_involutive(tab):
+    length, rmult = tab["length"], tab["rmult"]
+    defined = 0
+    for g in range(tab["size"]):
+        for i, h in enumerate(rmult[g]):
+            if h is None:
+                assert length[g] == tab["max_len"] and not tab["complete"]
+                continue
+            defined += 1
+            assert abs(length[h] - length[g]) == 1
+            assert rmult[h][i] == g
+    return defined
+
+
+@pytest.mark.parametrize("datum", [A3, B2, G2, build_root_datum("A", 4),
+                                   build_root_datum("F", 4)])
+def test_right_products_on_complete_tables(datum):
+    system = CoxeterSystem(datum.cartan_matrix)
+    tab = system._ensure_tables()
+    assert _right_products_are_involutive(tab) == tab["size"] * system.rank
+    fresh = CoxeterSystem(datum.cartan_matrix)
+    for g in range(0, tab["size"], 7):
+        for i in range(system.rank):
+            word = tab["words"][g] + (i,)
+            assert tab["words"][tab["rmult"][g][i]] == fresh._canonical(word)
+
+
+@pytest.mark.parametrize("datum,bound", [(A1, 9), (A2, 6), (B2, 6), (G2, 7), (A3, 4)])
+def test_right_products_on_affine_balls(datum, bound):
+    system = CoxeterSystem(affinization(datum).gcm)
+    tab = system._ensure_tables(up_to=bound)
+    assert _right_products_are_involutive(tab) > 0
+    fresh = CoxeterSystem(affinization(datum).gcm)
+    for g in range(tab["size"]):
+        for i in range(system.rank):
+            word = fresh._canonical(tab["words"][g] + (i,))
+            h = tab["rmult"][g][i]
+            assert (h is None) == (len(word) > bound)
+            if h is not None:
+                assert tab["words"][h] == word
 
 
 def test_element_canonicalization():
@@ -177,9 +264,22 @@ def brute_bruhat_leq(y, w):
     ww = w.word
     for k in combinations(range(len(ww)), len(y.word)):
         cand = tuple(ww[i] for i in k)
-        if len(system._reduce(cand)) == len(y.word) and system._canonical(cand) == y.word:
+        if len(system._canonical(cand)) == len(cand) and system._canonical(cand) == y.word:
             return True
     return False
+
+
+def test_bruhat_leq_matches_bruhat_columns_on_d4():
+    # equal lengths are compared as elements: stripping letters off y's
+    # canonical word need not leave a canonical word
+    system = weyl_system(build_root_datum("D", 4))
+    cols = system._bruhat_columns()
+    els = all_elements(system)
+    for wid, w in enumerate(els):
+        for yid, y in enumerate(els):
+            assert bool((cols[wid] >> yid) & 1) == bruhat_leq(y, w)
+    y, w = system.element((2, 3, 2, 1)), system.element((3, 4, 2, 1, 3))
+    assert bruhat_leq(y, w)
 
 
 @pytest.mark.parametrize("datum", [A2, B2])
@@ -275,7 +375,7 @@ def test_affinization_cartan_matrices():
 def test_affine_ball_sizes():
     system = affinization(A1)
     for bound in range(7):
-        assert len(affine_elements_up_to(system, bound)) == 2 * bound + 1
+        assert len(parabolic_quotient(system, (), length_bound=bound)) == 2 * bound + 1
 
 
 def test_translation_element_values():
@@ -306,11 +406,24 @@ def test_translation_additivity():
 @pytest.mark.parametrize("datum,bound", [(A1, 7), (A2, 4), (B2, 4), (G2, 4)])
 def test_affine_length_formula_matches_enumeration(datum, bound):
     aff = affinization(datum)
-    for w in affine_elements_up_to(aff, bound):
+    for w in parabolic_quotient(aff, (), length_bound=bound):
         wbar, mu = affine_decompose(w)
         assert affine_length_from_parts(datum, wbar, mu) == w.length
         rebuilt = multiply(translation_element(aff, mu), aff.element(wbar.word_labels))
         assert rebuilt == w
+
+
+def test_e8_translation_decomposes_without_enumerating():
+    e8 = build_root_datum("E", 8)
+    aff = affinization(e8)
+    mu = (1, -1, 2, 0, 1, -2, 1, 1)
+    start = time.perf_counter()
+    t = translation_element(aff, mu)
+    wbar, nu = affine_decompose(t)
+    assert time.perf_counter() - start < 5
+    assert wbar.is_identity and nu == mu
+    assert t.length == translation_length(e8, mu)
+    assert weyl_system(e8)._tab is None
 
 
 def test_translation_requires_affinization():

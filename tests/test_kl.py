@@ -2,16 +2,17 @@
 
 import os
 import random
+import re
 
 import pytest
 
 from weylkl.rootdata import build_root_datum
 from weylkl.coxeter import (
     CoxeterSystem,
-    affine_elements_up_to,
     affinization,
     bruhat_leq,
     longest_element,
+    parabolic_quotient,
     weyl_system,
 )
 from weylkl.kl import (
@@ -59,7 +60,7 @@ def test_a3_nontrivial_pairs():
 
 def test_affine_ball_polynomials_are_trivial():
     system = affinization(build_root_datum("A", 1))
-    els = affine_elements_up_to(system, 6)
+    els = parabolic_quotient(system, (), length_bound=6)
     for y in els:
         for w in els:
             assert kl_polynomial(system, y, w) in ((), (1,))
@@ -154,6 +155,31 @@ def test_file_cache_rejects_foreign_files(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError):
         KLFileCache(str(path))
+
+
+@pytest.mark.parametrize("line", [
+    "A 3 | - | 2,1,3,2 | 2,1",    # constant term other than 1
+    "A 3 | - | 2,1,3,2 | 1,-1",   # negative coefficient
+    "A 3 | - | 2,1,3,2 | 1,0,1",  # degree 2 above (4 - 0 - 1) / 2
+    "A 3 | 1 | 1,2,1 | 1,1",      # degree 1 above (3 - 1 - 1) / 2
+])
+def test_file_cache_rejects_lines_that_are_not_kl_polynomials(tmp_path, line):
+    path = tmp_path / "kl.cache"
+    path.write_text(f"KLCACHE v1\nA 3 | - | 1,2,1 | 1\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+        KLFileCache(str(path))
+
+
+def test_file_cache_save_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "kl.cache"
+    system = weyl_system(build_root_datum("A", 3))
+    for word in ((1, 2, 3, 2, 1), (2, 1, 3, 2)):  # a fresh file, then a replaced one
+        cache = KLFileCache(str(path))
+        kl_polynomial(system, system.identity, system.element(word), file_cache=cache)
+        assert cache.dirty
+        cache.save()
+        assert sorted(os.listdir(tmp_path)) == ["kl.cache"]
+    assert len(KLFileCache(str(path))) == 2
 
 
 def test_file_cache_from_env(tmp_path, monkeypatch):
