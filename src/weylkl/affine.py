@@ -16,6 +16,15 @@ critical classes; each class comes with its own stratification index:
 Everything is exact: finite parts are `fractions.Fraction` vectors and the
 affine real roots are pairs ``(beta, m)`` of a finite root and an integer
 delta-coefficient.
+
+The simple roots of the integral affine roots are found by Dyer's criterion
+(:func:`weylkl.endoscopy.simple_system`: gamma is simple iff s_gamma sends
+no other positive integral root to a negative one) over the window of
+integral roots with delta-coefficient at most ``2 * period``.  The window
+is exact: a non-simple gamma is refuted by a simple root below it, so in
+the window; and a simple root has the least delta-coefficient of its finite
+part, at most ``period`` (``(beta, m + period)`` is not simple already in
+the rank-one system of ``+-beta``).
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .coxeter import (
     right_descents,
     _symmetrizer,
 )
-from .endoscopy import straighten
+from .endoscopy import simple_system, straighten, subsystem_cartan
 from .linalg import kernel_basis
 from .rootdata import RootDatum, pairing
 
@@ -159,17 +168,8 @@ def invariant_form(datum: RootDatum, v, w) -> Fraction:
         Fraction(v[i]) * gram[i][j] * w[j] for i in range(n) for j in range(n))
 
 
-@lru_cache(maxsize=None)
-def _coroot_map(datum: RootDatum):
-    table = {}
-    for root, coroot in zip(datum.positive_roots, datum.positive_coroots):
-        table[root] = coroot
-        table[tuple(-c for c in root)] = tuple(-c for c in coroot)
-    return table
-
-
 # ---------------------------------------------------------------------------
-# integral affine real roots and their indecomposables
+# integral affine real roots
 
 
 def _affine_pairing(datum: RootDatum, beta, m, vec, k) -> Fraction:
@@ -188,56 +188,6 @@ def _integral_window(datum: RootDatum, vec, k, m_max):
                 continue
             if _affine_pairing(datum, beta, m, vec, k).denominator == 1:
                 out.append((beta, m))
-    return out
-
-
-def _indecomposables(datum: RootDatum, items):
-    """Elements of ``items`` that are not nonnegative combinations of others.
-
-    Membership in the monoid generated by ``items`` is decided by a memoized
-    search along a strictly decreasing height (pairwise-sum tests are not
-    enough once delta-multiples re-enter the cone).
-    """
-    big = 2 * sum(datum.highest_root) + 1
-
-    def flat(item):
-        beta, m = item
-        return beta + (m,)
-
-    def height(v):
-        return v[-1] * big + sum(v[:-1])
-
-    pool = {flat(item) for item in items}
-    memo = {}
-
-    def in_cone(v):
-        # nonempty nonnegative integral combination of pool elements
-        if v in memo:
-            return memo[v]
-        memo[v] = False
-        for u in pool:
-            if v == u:
-                memo[v] = True
-                return True
-            rest = tuple(a - b for a, b in zip(v, u))
-            if height(rest) > 0 and in_cone(rest):
-                memo[v] = True
-                return True
-        return False
-
-    out = []
-    for item in items:
-        v = flat(item)
-        decomposable = False
-        for u in pool:
-            if u == v:
-                continue
-            rest = tuple(a - b for a, b in zip(v, u))
-            if rest == (0,) * len(rest) or (height(rest) > 0 and in_cone(rest)):
-                decomposable = True
-                break
-        if not decomposable:
-            out.append(item)
     return out
 
 
@@ -298,7 +248,7 @@ class AffineStratification:
 
 def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratification:
     """Endoscopic datum of an affine rational coweight: integral affine real
-    roots, their indecomposables, the straightened finite part with its
+    roots, their simple system, the straightened finite part with its
     moving word, singular labels and the minimal imaginary coroot."""
     if len(x.mu) != datum.rank:
         raise ValueError("coweight length does not match the rank")
@@ -307,7 +257,7 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     period = k.denominator
     vec = x.finite_part
     window = tuple(_integral_window(datum, vec, k, 2 * period))
-    simples = _indecomposables(datum, window)
+    simples = simple_system(datum, window)
 
     def sort_key(item):
         beta, m = item
@@ -318,15 +268,9 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     roots = finite + extra
     labels = tuple(range(1, len(finite) + 1)) + tuple(
         -i for i in range(len(extra)))
-    coroot_map = _coroot_map(datum)
-    coroots = []
-    for beta, m in roots:
-        coroots.append((coroot_map[beta], m * length_ratio(datum, beta)))
-
-    gcm = tuple(
-        tuple(int(pairing(datum, bj, coroots[i][0]))
-              for (bj, _mj) in roots)
-        for i in range(len(roots)))
+    gcm, finite_coroots = subsystem_cartan(datum, [beta for beta, _m in roots])
+    coroots = [(coroot, m * length_ratio(datum, beta))
+               for coroot, (beta, m) in zip(finite_coroots, roots)]
     system = CoxeterSystem(gcm, labels=labels)
     if len(roots) > 0 and system.kind != "affine":
         raise AssertionError("integral affine subsystem must be affine type")

@@ -77,12 +77,16 @@ def _parse_word(system: CoxeterSystem, text):
 
 
 def _parse_degree(text, rank_):
-    """An affine degree ``c1,…,cr:m`` (``:m`` defaults to 0)."""
+    """An affine degree ``c1,…,cr:m`` (``:m`` defaults to 0), from ``--alpha``."""
     body, _, imag = text.partition(":")
-    finite = _parse_int_vector(body, "the degree's finite part")
+    finite = _parse_int_vector(body, "the finite part of --alpha")
     if len(finite) != rank_:
-        raise ValueError(f"the degree's finite part must have {rank_} entries")
-    m = int(imag) if imag else 0
+        raise ValueError(f"the finite part of --alpha must have {rank_} entries")
+    try:
+        m = int(imag) if imag else 0
+    except ValueError:
+        raise ValueError(f"the delta part of --alpha must be an integer, "
+                         f"got {imag!r}") from None
     return finite, m
 
 
@@ -267,9 +271,7 @@ def _cmd_strata(args) -> str:
 
 def _cmd_multiplicity(args) -> str:
     datum, strat = _stratification(args)
-    cache = file_cache_from_env()
-    matrix = multiplicity_matrix(strat, file_cache=cache)
-    cache.save()
+    matrix = multiplicity_matrix(strat)
     words = [_word_text(w) for w in strat.index_set]
     payload = {"index": words, "matrix": [[int(x) for x in row] for row in matrix]}
     width = max(len(t) for t in words)
@@ -294,7 +296,6 @@ def _cmd_character(args) -> str:
                   for expo, coeffs in items]
         return _emit(args, payload, lines)
     strat = stratify(datum, _parse_lambda(args.lam))
-    cache = file_cache_from_env()
     y = (_parse_word(strat.system, args.w) if args.w is not None
          else strat.minimal_mover)
     if args.alpha is not None:
@@ -308,14 +309,12 @@ def _cmd_character(args) -> str:
 
         hw = index_highest_weights(strat)[hw_index]
         nu = tuple(h - a for h, a in zip(hw, alpha))
-        value = simple_weight_multiplicity(strat, y, nu, file_cache=cache)
-        cache.save()
+        value = simple_weight_multiplicity(strat, y, nu)
         payload = {"w": _word_text(y), "alpha": _vec(alpha),
                    "weight": _vec(nu), "multiplicity": value}
         return _emit(args, payload,
                      [f"weight multiplicity at drop {tuple(alpha)}: {value}"])
-    value = simple_module_dimension(strat, y, file_cache=cache)
-    cache.save()
+    value = simple_module_dimension(strat, y)
     payload = {"w": _word_text(y), "dimension": value}
     return _emit(args, payload, [f"simple module dimension: {value}"])
 
@@ -324,7 +323,10 @@ def _cmd_affine(args) -> str:
     datum = build_root_datum(args.type, args.rank)
     lam = _parse_lambda(args.lam)
     if args.pair is not None:
-        a, b = _parse_int_vector(args.pair, "--pair")
+        pair = _parse_int_vector(args.pair, "--pair")
+        if len(pair) != 2:
+            raise ValueError(f"--pair must be two integers a,b, got {args.pair!r}")
+        a, b = pair
         x = AffineCoweight(lam.mu, (a, b), lam.n)
     elif args.level is not None:
         x = AffineCoweight.from_level(lam.mu, args.level, lam.n)
@@ -427,10 +429,7 @@ def _cmd_oracle_check(args) -> str:
     datum = build_root_datum(args.type, args.rank)
     lam = _parse_lambda(args.lam)
     strat = stratify(datum, lam)
-    cache = file_cache_from_env()
-    predicted = [[int(x) for x in row]
-                 for row in multiplicity_matrix(strat, file_cache=cache)]
-    cache.save()
+    predicted = [[int(x) for x in row] for row in multiplicity_matrix(strat)]
     observed = oracle_multiplicity_matrix(datum, lam, depth=args.depth)
     if predicted != observed:
         raise ValueError(

@@ -1,9 +1,10 @@
 """Integral-linkage data for a rational coweight.
 
 Given a root datum and a rational coweight ``lam``, the positive roots
-pairing integrally with ``lam`` form a closed subsystem.  Its indecomposable
-elements are a simple system; the reflections they define generate a finite
-reflection subgroup acting on the coweight lattice.  This module computes:
+pairing integrally with ``lam`` form a closed subsystem.  Its simple system
+(Dyer's reflection criterion, :func:`simple_system`) defines reflections
+generating a finite reflection subgroup acting on the coweight lattice.
+This module computes:
 
 * the integral subsystem and its simple system,
 * that subgroup as an intrinsic :class:`~weylkl.coxeter.CoxeterSystem`
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
 from .rootdata import (
@@ -37,6 +39,8 @@ from .rootdata import (
 __all__ = [
     "Stratification",
     "integral_positive_roots",
+    "simple_system",
+    "subsystem_cartan",
     "indecomposable_indices",
     "endoscopic_system",
     "straighten",
@@ -74,45 +78,73 @@ def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
     return tuple(out)
 
 
-def indecomposable_indices(datum: RootDatum, indices):
-    """Sub-tuple of ``indices`` whose roots are not sums of two others.
-
-    For a closed subsystem of a finite root system the pairwise-sum test
-    characterizes the simple system exactly.
-    """
-    chosen = set(indices)
-    roots = {k: datum.positive_roots[k] for k in indices}
-    vectors = {roots[k] for k in indices}
+def _integer_data(datum: RootDatum, roots):
+    """Integer row (``<beta, mu> = row . mu``) and coroot of each finite root
+    ``beta``; a negative root takes the negated data of its positive."""
+    rows, coroots = _pairing_rows(datum), datum.positive_coroots
+    where = {beta: k for k, beta in enumerate(datum.positive_roots)}
     out = []
-    for k in indices:
-        beta = roots[k]
-        decomposable = False
-        for j in indices:
-            gamma = roots[j]
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            if any(rest) and rest in vectors:
-                decomposable = True
+    for beta in roots:
+        k = where.get(beta)
+        if k is not None:
+            out.append((rows[k], coroots[k]))
+        else:
+            k = where[tuple(-c for c in beta)]
+            out.append((tuple(-r for r in rows[k]), tuple(-c for c in coroots[k])))
+    return out
+
+
+def subsystem_cartan(datum: RootDatum, roots):
+    """``(gcm, coroots)`` of finite roots of either sign, in integers, with
+    ``gcm[i][j] = <roots[j], roots[i]^vee>``."""
+    data = _integer_data(datum, roots)
+    gcm = tuple(tuple(sum(map(mul, row, coroot)) for row, _ in data) for _, coroot in data)
+    return gcm, tuple(coroot for _, coroot in data)
+
+
+def simple_system(datum: RootDatum, items):
+    """The items ``(beta, m)`` that are simple roots, in input order.
+
+    ``items`` are positive integral roots ``beta + m*delta`` (``m = 0`` for
+    finite roots).  Dyer's criterion (J. Algebra 135, 1990; Bjorner-Brenti,
+    GTM 231, ch. 4): gamma = (beta, m) is simple iff s_gamma sends no other
+    positive root of the subgroup to a negative root.  For alpha = (rho, n)
+    and c = <rho, beta^vee> > 0, s_gamma(alpha) = (rho - c*beta) +
+    (n - c*m)*delta is negative iff n < c*m, or n = c*m and rho - c*beta
+    has negative height.
+
+    ``items`` must hold every root of the subgroup whose delta-coefficient
+    is at most that of a root tested: a non-simple gamma is refuted by a
+    simple root below it (s_gamma has a descent in the support of gamma).
+    """
+    data = _integer_data(datum, [beta for beta, _m in items])
+    heights = [sum(beta) for beta, _m in items]
+    out = []
+    for g, (_, coroot) in enumerate(data):
+        m, height = items[g][1], heights[g]
+        for a, (row, _) in enumerate(data):
+            c = sum(map(mul, row, coroot))
+            if c > 0 and a != g and (items[a][1] - c * m, heights[a] - c * height) < (0, 0):
                 break
-        if not decomposable:
-            out.append(k)
-    return tuple(out)
+        else:
+            out.append(items[g])
+    return out
+
+
+def indecomposable_indices(datum: RootDatum, indices):
+    """Sub-tuple of the integral positive roots ``indices`` forming their
+    simple system: gamma is kept iff s_gamma sends no other root of
+    ``indices`` to a negative root (:func:`simple_system` with ``m = 0``;
+    no window is needed, as every positive root of the subgroup is given)."""
+    roots = datum.positive_roots
+    kept = {beta for beta, _m in simple_system(datum, [(roots[k], 0) for k in indices])}
+    return tuple(k for k in indices if roots[k] in kept)
 
 
 @lru_cache(maxsize=None)
 def _endoscopic_system(datum: RootDatum, simple_indices):
-    roots = [datum.positive_roots[k] for k in simple_indices]
-    coroots = [datum.positive_coroots[k] for k in simple_indices]
-    size = len(simple_indices)
-    gcm = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            value = pairing(datum, roots[j], coroots[i])
-            if value.denominator != 1:
-                raise AssertionError("subsystem Cartan pairings must be integers")
-            row.append(int(value))
-        gcm.append(row)
-    return CoxeterSystem(gcm, labels=range(1, size + 1))
+    gcm, _ = subsystem_cartan(datum, [datum.positive_roots[k] for k in simple_indices])
+    return CoxeterSystem(gcm, labels=range(1, len(simple_indices) + 1))
 
 
 def endoscopic_system(datum: RootDatum, simple_indices) -> CoxeterSystem:

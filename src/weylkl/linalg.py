@@ -2,8 +2,8 @@
 
 Matrices are lists of lists (rows) of ``Fraction``/``int``; nothing here is
 numerical.  Only the handful of routines the rest of the package needs:
-row reduction, rank, kernel basis, inverse, and the pivots that give the
-signs of the leading principal minors.
+row reduction, rank, kernel basis, the inverse of an upper unitriangular
+matrix, and the pivots that give the signs of the leading principal minors.
 
 >>> rank([[1, 2], [2, 4]])
 1
@@ -100,18 +100,17 @@ def kernel_basis(mat):
 
 
 def invert_unitriangular(mat):
-    """Inverse of an integer matrix that is unitriangular in *some* order.
+    """Inverse of an upper unitriangular integer matrix, by back substitution.
 
-    The matrix only needs to be invertible; full fraction-free Gauss-Jordan
-    is used and the result is returned with integer entries when exact.
+    Row i of the inverse is e_i minus mat[i][k] times row k, for k > i; any
+    other matrix raises ``ValueError``.
     """
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    out = []
-    for i in range(n):
-        row = rows[i][n:]
-        out.append([int(x) if x.denominator == 1 else x for x in row])
-    return out
+    if any(len(row) != n or row[i] != 1 or any(row[:i]) for i, row in enumerate(mat)):
+        raise ValueError("matrix is not upper unitriangular")
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 2, -1, -1):
+        for k in range(i + 1, n):
+            if mat[i][k]:
+                inverse[i] = [a - mat[i][k] * b for a, b in zip(inverse[i], inverse[k])]
+    return inverse

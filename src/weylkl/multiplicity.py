@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .coxeter import CoxeterElement, longest_element, multiply
 from .endoscopy import Stratification, coweight_orbit_action
-from .kl import KLFileCache, kl_polynomial, _padd, _pshift
+from .kl import kl_polynomial, _padd, _pshift
 from .linalg import invert_unitriangular
 
 __all__ = [
@@ -54,24 +54,20 @@ def index_highest_weights(strat: Stratification):
 
 
 def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
-                            y: CoxeterElement,
-                            file_cache: "KLFileCache|None" = None):
+                            y: CoxeterElement):
     """Graded multiplicity of the y-simple in the w-Verma (tuple of coeffs)."""
     if w not in strat.index_set or y not in strat.index_set:
         raise ValueError("multiplicities are indexed by the stratification's index set")
     w0 = _singular_longest(strat)
-    return kl_polynomial(strat.system, multiply(w, w0), multiply(y, w0),
-                         file_cache=file_cache)
+    return kl_polynomial(strat.system, multiply(w, w0), multiply(y, w0))
 
 
-def multiplicity(strat: Stratification, w: CoxeterElement, y: CoxeterElement,
-                 file_cache: "KLFileCache|None" = None) -> int:
+def multiplicity(strat: Stratification, w: CoxeterElement, y: CoxeterElement) -> int:
     """[Verma(w) : simple(y)]: the graded multiplicity evaluated at q = 1."""
-    return sum(multiplicity_polynomial(strat, w, y, file_cache=file_cache))
+    return sum(multiplicity_polynomial(strat, w, y))
 
 
-def multiplicity_matrix(strat: Stratification,
-                        file_cache: "KLFileCache|None" = None):
+def multiplicity_matrix(strat: Stratification):
     """Rows w, columns y (index-set order): [Verma(w) : simple(y)].
 
     Upper unitriangular: the index set is sorted by length, and the entry
@@ -79,22 +75,12 @@ def multiplicity_matrix(strat: Stratification,
     """
     w0 = _singular_longest(strat)
     shifted = [multiply(w, w0) for w in strat.index_set]
-    size = len(shifted)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            poly = kl_polynomial(strat.system, shifted[i], shifted[j],
-                                 file_cache=file_cache)
-            row.append(sum(poly))
-        rows.append(row)
-    return rows
+    return [[sum(kl_polynomial(strat.system, w, y)) for y in shifted] for w in shifted]
 
 
-def inverse_multiplicity_matrix(strat: Stratification,
-                                file_cache: "KLFileCache|None" = None):
+def inverse_multiplicity_matrix(strat: Stratification):
     """Integer matrix A with simple(y) = sum_w A[y][w] * Verma(w) in characters."""
-    return invert_unitriangular(multiplicity_matrix(strat, file_cache=file_cache))
+    return invert_unitriangular(multiplicity_matrix(strat))
 
 
 # -- graded partition counts --------------------------------------------------
@@ -185,17 +171,16 @@ def _alternating_weight_dimension(coeffs, weights, coroots, nu):
     return total
 
 
-def _inverse_row(strat, y, file_cache):
+def _inverse_row(strat, y):
     try:
         row = strat.index_set.index(y)
     except ValueError:
         raise ValueError("y must be an index-set element") from None
-    inverse = inverse_multiplicity_matrix(strat, file_cache=file_cache)
+    inverse = inverse_multiplicity_matrix(strat)
     return inverse[row]
 
 
-def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu,
-                               file_cache: "KLFileCache|None" = None) -> int:
+def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu) -> int:
     """dim of the nu-weight space of the simple module with h.w. y(lam') - rho.
 
     Evaluated through the inverse multiplicity matrix: an alternating sum of
@@ -203,15 +188,14 @@ def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu,
     positive coroots.
     """
     _require_full_integrality(strat)
-    coeffs = _inverse_row(strat, y, file_cache)
+    coeffs = _inverse_row(strat, y)
     weights = index_highest_weights(strat)
     coroots = strat.datum.positive_coroots
     nu = tuple(Fraction(x) for x in nu)
     return _alternating_weight_dimension(coeffs, weights, coroots, nu)
 
 
-def simple_module_dimension(strat: Stratification, y: CoxeterElement = None,
-                            file_cache: "KLFileCache|None" = None) -> int:
+def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> int:
     """Total dimension of the simple module with highest weight y(lam') - rho.
 
     Finite for dominant data; computed weight space by weight space over the
@@ -221,7 +205,7 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None,
     _require_full_integrality(strat)
     if y is None:
         y = strat.minimal_mover
-    coeffs = _inverse_row(strat, y, file_cache)
+    coeffs = _inverse_row(strat, y)
     weights = index_highest_weights(strat)
     hw = weights[strat.index_set.index(y)]
     w0 = longest_element(strat.system)

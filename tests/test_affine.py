@@ -1,5 +1,6 @@
 """Tests for the affine level classification and strata indexing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from weylkl.coxeter import (
     left_descents,
     right_descents,
 )
-from weylkl.endoscopy import stratify
+from weylkl.endoscopy import simple_system, stratify
 from weylkl.affine import (
     AffineCoweight,
     LevelClass,
@@ -171,6 +172,32 @@ def test_half_integral_a1_offset():
     assert s.delta_zeta == 2
     # (-alpha + delta) pairs to -1/2 + 1/2 = 0 against lambda'
     assert s.singular == frozenset({0})
+
+
+def test_simple_roots_are_not_the_pairwise_indecomposables():
+    # level 1/2, zero finite part: alpha + 2*delta is in the window and is
+    # no sum of two window roots, yet s_{alpha+2delta} sends alpha to
+    # -alpha - 4*delta, so it is not simple
+    x = AffineCoweight((0,), (2, -1))
+    s = affine_endoscopy(A1, x)
+    window = s.integral_roots
+    assert ((1,), 2) in window
+    sums = {(b[0] + c[0], m + k) for b, m in window for c, k in window}
+    assert ((1,), 2) not in sums
+    assert simple_system(A1, window) == [((1,), 0), ((-1,), 2)]
+    assert s.simple_roots == (((1,), 0), ((-1,), 2))
+
+
+@pytest.mark.parametrize("letter,rank,mu,n,level", [
+    ("F", 4, (1, 0, 1, 1), 2, 1),
+    ("B", 4, (1, 2, 0, 1), 3, 2),
+])
+def test_affine_endoscopy_of_rank_four_is_fast(letter, rank, mu, n, level):
+    datum = build_root_datum(letter, rank)
+    start = time.perf_counter()
+    s = affine_endoscopy(datum, AffineCoweight.from_level(mu, level, n))
+    assert time.perf_counter() - start < 5
+    assert s.system.kind == "affine"
 
 
 def test_denominator_three_a1():

@@ -208,6 +208,20 @@ def test_affine_critical_solutions(capsys):
     assert payload["critical_strata"] == [{"w": "1", "alpha": [1]}]
 
 
+def test_affine_bad_pair_names_the_flag(capsys):
+    code, out, err = run(capsys, "affine", "--type", "A", "--rank", "1",
+                         "--lambda", "1/2", "--pair", "1")
+    assert code == 1 and not out
+    assert "--pair" in err
+
+
+def test_affine_bad_alpha_names_the_flag(capsys):
+    code, out, err = run(capsys, "affine", "--type", "A", "--rank", "2",
+                         "--lambda", "1,1", "--level", "1", "--alpha", "1,1:x")
+    assert code == 1 and not out
+    assert "--alpha" in err
+
+
 def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--type", "A", "--rank", "1",
                        "--lambda", "1/1")
@@ -243,6 +257,16 @@ def test_corrupt_cache_file_exits_one(tmp_path, monkeypatch, capsys):
                          "--y", "e", "--w", "2,1,3,2")
     assert code == 1 and not out
     assert f"{store}:2:" in err
+
+
+def test_multiplicity_does_not_read_the_cache_file(tmp_path, monkeypatch, capsys):
+    store = tmp_path / "cache.txt"
+    store.write_text("not a cache file\n")
+    monkeypatch.setenv("WEYLKL_CACHE", str(store))
+    code, out, _ = run(capsys, "multiplicity", "--type", "A", "--rank", "2",
+                       "--lambda", "1,1/1")
+    assert code == 0 and out
+    assert store.read_text() == "not a cache file\n"
 
 
 def test_domain_error_exits_one(capsys):

@@ -1,9 +1,11 @@
 """Tests for integral subsystems, their Coxeter systems, and stratification."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from weylkl.linalg import rref
 from weylkl.rootdata import RationalCoweight, build_root_datum
 from weylkl.coxeter import CoxeterSystem
 from weylkl.endoscopy import (
@@ -62,6 +64,36 @@ def test_indecomposables_g2_half():
     system = endoscopic_system(G2, simple)
     assert system.size() == 4  # two commuting reflections
     assert system.gcm == ((2, 0), (0, 2))
+
+
+def _coefficients(simples, root):
+    """Coordinates of ``root`` in ``simples``, or None outside their span."""
+    columns = [list(col) + [r] for col, r in zip(zip(*simples), root)]
+    rows, pivots = rref(columns)
+    if len(simples) in pivots:
+        return None
+    return [rows[i][-1] for i in range(len(pivots))]
+
+
+@pytest.mark.parametrize("letter,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_indecomposables_are_a_simple_system(letter, rank):
+    # the definition: independent, and every integral positive root is a
+    # nonnegative integer combination of them (mu mod n fixes integrality)
+    datum = build_root_datum(letter, rank)
+    for n in range(1, 5):
+        for mu in product(range(n), repeat=rank):
+            integral = integral_positive_roots(datum, RationalCoweight(mu, n))
+            simple = indecomposable_indices(datum, integral)
+            simples = [datum.positive_roots[k] for k in simple]
+            if not simples:
+                assert not integral
+                continue
+            assert len(rref(simples)[1]) == len(simples)
+            for k in integral:
+                coeffs = _coefficients(simples, datum.positive_roots[k])
+                assert coeffs is not None
+                assert all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
 def test_endoscopic_system_interned():
