@@ -34,18 +34,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .coxeter import (
-    CoxeterElement,
-    CoxeterSystem,
-    left_descents,
-    parabolic_quotient,
-    right_descents,
-    _symmetrizer,
-)
-from .endoscopy import simple_system, straighten, subsystem_cartan
+from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient, _symmetrizer
+from .endoscopy import _integer_data, _integer_point, _value
+from .endoscopy import orbit_walk, simple_system, straighten, subsystem_cartan
 from .linalg import kernel_basis
-from .rootdata import RootDatum, pairing
+from .rootdata import RootDatum
 
 
 class LevelClass(Enum):
@@ -123,27 +118,26 @@ def negate(x: AffineCoweight) -> AffineCoweight:
 
 @lru_cache(maxsize=None)
 def _root_gram(datum: RootDatum):
-    """Symmetrized Cartan matrix: entries proportional to (alpha_i, alpha_j)."""
+    """Symmetrized Cartan matrix in integers: entries proportional to
+    (alpha_i, alpha_j), and the highest root's squared length in its scale."""
     d = _symmetrizer(datum.cartan_matrix)
-    n = datum.rank
-    return tuple(
-        tuple(d[i] * datum.cartan_matrix[i][j] for j in range(n)) for i in range(n))
+    scale = math.lcm(*(x.denominator for x in d))
+    gram = tuple(tuple(int(d[i] * scale) * a for a in row)
+                 for i, row in enumerate(datum.cartan_matrix))
+    return gram, _root_norm(gram, datum.highest_root)
 
 
-def _root_norm(datum: RootDatum, beta) -> Fraction:
-    gram = _root_gram(datum)
-    n = datum.rank
-    return sum(
-        Fraction(beta[i]) * gram[i][j] * beta[j]
-        for i in range(n) for j in range(n))
+def _root_norm(gram, beta) -> int:
+    return sum(b * sum(map(mul, row, beta)) for b, row in zip(beta, gram))
 
 
 def length_ratio(datum: RootDatum, beta) -> int:
     """Squared-length ratio of the highest root to ``beta`` (1, 2 or 3)."""
-    ratio = Fraction(_root_norm(datum, datum.highest_root)) / _root_norm(datum, beta)
-    if ratio.denominator != 1 or ratio <= 0:
+    gram, theta_norm = _root_gram(datum)
+    norm = _root_norm(gram, beta)
+    if norm <= 0 or theta_norm % norm:
         raise ValueError("not a root of the datum")
-    return int(ratio)
+    return theta_norm // norm
 
 
 @lru_cache(maxsize=None)
@@ -172,22 +166,18 @@ def invariant_form(datum: RootDatum, v, w) -> Fraction:
 # integral affine real roots
 
 
-def _affine_pairing(datum: RootDatum, beta, m, vec, k) -> Fraction:
-    """Pairing of the affine real root ``beta + m*delta`` with ``(vec, k)``."""
-    return pairing(datum, beta, vec) + m * k
-
-
 def _integral_window(datum: RootDatum, vec, k, m_max):
-    """Positive integral affine real roots with delta-coefficient <= m_max."""
-    out = []
-    finite = list(datum.positive_roots)
-    finite += [tuple(-c for c in beta) for beta in datum.positive_roots]
-    for m in range(m_max + 1):
-        for beta in finite:
-            if m == 0 and any(c < 0 for c in beta):
-                continue
-            if _affine_pairing(datum, beta, m, vec, k).denominator == 1:
-                out.append((beta, m))
+    """Positive integral affine real roots with delta-coefficient <= m_max:
+    ``<beta, vec> + m*k`` has a numerator over ``d`` divisible by ``d``."""
+    roots = datum.positive_roots
+    rows, d, point, (k_num,) = _integer_point(datum, roots, vec, [k])
+    values = [_value(row, 0, point) for row in rows]
+    out = [(beta, 0) for beta, value in zip(roots, values) if value % d == 0]
+    for m in range(1, m_max + 1):
+        out += [(beta, m) for beta, value in zip(roots, values)
+                if (value + m * k_num) % d == 0]
+        out += [(tuple(-c for c in beta), m) for beta, value in zip(roots, values)
+                if (m * k_num - value) % d == 0]
     return out
 
 
@@ -277,16 +267,14 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
 
     # the finite-labelled roots come first; at critical level only they move
     active = len(finite) if level_class is LevelClass.CRITICAL else len(roots)
+    finite_roots, shifts = [beta for beta, _m in roots], [m * k for _beta, m in roots]
     lam_prime, mover = straighten(
-        datum, system, [beta for beta, _m in roots[:active]],
-        [coroot for coroot, _c in coroots[:active]], vec,
-        shifts=[m * k for _beta, m in roots[:active]],
-        sign=-1 if level_class is LevelClass.NEGATIVE else 1)
+        datum, system, finite_roots[:active], finite_coroots[:active], vec,
+        shifts=shifts[:active], sign=-1 if level_class is LevelClass.NEGATIVE else 1)
 
-    singular = frozenset(
-        labels[i]
-        for i, (beta, m) in enumerate(roots)
-        if _affine_pairing(datum, beta, m, lam_prime, k) == 0)
+    rows, _d, point, shifts = _integer_point(datum, finite_roots, lam_prime, shifts)
+    singular = frozenset(labels[i] for i, (row, shift) in enumerate(zip(rows, shifts))
+                         if _value(row, shift, point) == 0)
 
     imaginary = []
     for comp in system._components():
@@ -345,8 +333,7 @@ def _bound_coords(datum: RootDatum, bound):
     return coords
 
 
-def affine_strata_index(strat: AffineStratification, bound, parabolic=(),
-                        max_length=None):
+def affine_strata_index(strat: AffineStratification, bound, parabolic=()):
     """Stratification index at positive or negative level.
 
     Elements ``w`` of the singular parabolic quotient (double quotient when
@@ -354,74 +341,46 @@ def affine_strata_index(strat: AffineStratification, bound, parabolic=(),
     at positive level, ``w(lambda') - lambda'`` at negative level -- stays
     below ``bound = (finite coroot coordinates, delta multiplicity)`` in the
     affinized coroot cone.  Returns pairs ``(w, level_class)``.
+
+    The orbit walk of ``(lambda', 0)``, the imaginary part as a coordinate
+    that coroots move and roots do not pair with: each step adds a positive
+    coroot to the degree, so the walk stops at the bound.  A left descent s
+    of ``w`` is a negative value of s at ``w(lambda')``.
     """
     if strat.level_class is LevelClass.CRITICAL:
         raise ValueError(
             "critical level has no bounded index; use critical_strata_index")
     if bound is None:
         raise ValueError("a degree bound is required: the group is infinite")
-    bound_c = _bound_coords(strat.datum, bound)
+    datum = strat.datum
+    bound_c = _bound_coords(datum, bound)
     sign = 1 if strat.level_class is LevelClass.POSITIVE else -1
-    datum, system, k = strat.datum, strat.system, strat.level
-    kset = frozenset(parabolic)
-
-    # ambient coordinate vector contributed by each endoscopic simple coroot
-    steps = []
-    for (beta, m), (coroot, c_part) in zip(strat.simple_roots,
-                                           strat.simple_coroots):
-        coords = _degree_coords(datum, coroot, c_part)
-        if coords is None:
+    for coroot, c_part in strat.simple_coroots:
+        if _degree_coords(datum, coroot, c_part) is None:
             raise AssertionError(
                 "positive integral coroots must lie in the affine coroot cone")
-        steps.append(coords)
+    start = tuple(strat.lambda_prime) + (0,)
 
-    results = []
-    frontier = {(): (strat.lambda_prime, (0,) * (datum.rank + 1))}
-    seen = set()
-    while frontier:
-        nxt = {}
-        for word, (cur, coords) in frontier.items():
-            w = CoxeterElement(system, word)
-            if not (kset & left_descents(w)):
-                results.append((w, coords))
-            if max_length is not None and len(word) >= max_length:
-                continue
-            for pos in range(len(strat.labels)):
-                beta, m = strat.simple_roots[pos]
-                val = _affine_pairing(datum, beta, m, cur, k)
-                d = sign * val
-                if d < 0:
-                    continue  # a descent direction, not a new representative
-                if d != int(d):
-                    raise AssertionError("integral pairings must stay integral")
-                new_coords = tuple(
-                    c + int(d) * s for c, s in zip(coords, steps[pos]))
-                if any(c > b for c, b in zip(new_coords, bound_c)):
-                    continue
-                new_word = system._canonical((pos,) + word)
-                if len(new_word) != len(word) + 1 or new_word in seen:
-                    continue
-                if right_descents(CoxeterElement(system, new_word)) & strat.singular:
-                    continue
-                seen.add(new_word)
-                coroot = strat.simple_coroots[pos][0]
-                new_cur = tuple(
-                    c - val * cr for c, cr in zip(cur, coroot))
-                nxt[new_word] = (new_cur, new_coords)
-        frontier = nxt
-    results.sort(key=lambda pair: (pair[0].length, pair[0].word))
-    return tuple((w, strat.level_class) for w, _coords in results)
+    def below(point):
+        degree = [sign * (a - b) for a, b in zip(start, point)]
+        coords = _degree_coords(datum, degree[:-1], degree[-1])
+        if coords is None:
+            raise AssertionError("integral pairings must stay integral")
+        return all(c <= b for c, b in zip(coords, bound_c))
+
+    roots = [beta for beta, _m in strat.simple_roots]
+    shifts = [m * strat.level for _beta, m in strat.simple_roots]
+    walk = orbit_walk(datum, roots, [coroot + (c_part,) for coroot, c_part in strat.simple_coroots],
+                      start, shifts, sign, keep=below)
+    kset = frozenset(parabolic)
+    tests = [(row, shift) for label, (row, _), shift
+             in zip(strat.labels, _integer_data(datum, roots), shifts) if label in kset]
+    return tuple((strat.system._element(word), strat.level_class) for word, point in walk
+                 if all(sign * _value(row, shift, point) >= 0 for row, shift in tests))
 
 
 # ---------------------------------------------------------------------------
 # strata index at critical level
-
-
-def _finite_subsystem(strat: AffineStratification) -> CoxeterSystem:
-    positions = [strat.system._position(l) for l in strat.finite_labels]
-    gcm = tuple(
-        tuple(strat.system.gcm[i][j] for j in positions) for i in positions)
-    return CoxeterSystem(gcm, labels=strat.finite_labels)
 
 
 def critical_strata_index(strat: AffineStratification, beta):
@@ -434,6 +393,10 @@ def critical_strata_index(strat: AffineStratification, beta):
     finite part accounts for ``beta``'s imaginary part in units of the
     minimal imaginary coroot.  ``alpha`` is returned as a coefficient tuple
     over the finite labels.
+
+    The ``w`` are read off the orbit walk of ``lambda'`` under the
+    finite-labelled simple roots, which come first; the finite degree only
+    grows along the walk, so it stops past ``beta``.
     """
     if strat.level_class is not LevelClass.CRITICAL:
         raise ValueError("the exact degree equation applies at critical level")
@@ -442,26 +405,16 @@ def critical_strata_index(strat: AffineStratification, beta):
     datum = strat.datum
     lam = strat.lambda_prime
     fin_labels = strat.finite_labels
-    j_fin = strat.singular & set(fin_labels)
-    sub = _finite_subsystem(strat)
-    reps = parabolic_quotient(sub, j_fin)
 
-    target = Fraction(beta_delta, strat.delta_zeta) if strat.delta_zeta else None
-    if target is None:
-        if beta_delta != 0:
-            return ()
-        target = Fraction(0)
+    if not strat.delta_zeta and beta_delta != 0:
+        return ()
+    target = Fraction(beta_delta, strat.delta_zeta or 1)
 
-    weights = []
-    for label in fin_labels:
-        pos = strat.system._position(label)
-        if label in j_fin:
-            weights.append(None)
-            continue
-        coroot = strat.simple_coroots[pos][0]
-        weights.append(invariant_form(datum, coroot, lam))
-        if weights[-1] <= 0:
-            raise AssertionError("nonsingular coroots must pair positively with lambda'")
+    weights = [None if label in strat.singular  # finite labels come first
+               else invariant_form(datum, strat.simple_coroots[pos][0], lam)
+               for pos, label in enumerate(fin_labels)]
+    if any(weight is not None and weight <= 0 for weight in weights):
+        raise AssertionError("nonsingular coroots must pair positively with lambda'")
 
     alphas = []
 
@@ -481,23 +434,17 @@ def critical_strata_index(strat: AffineStratification, beta):
 
     if target >= 0:
         extend(0, target, [])
+    if not alphas:
+        return ()
 
     beta_target = tuple(Fraction(c) for c in beta_fin)
-    out = []
-    for rep in reps:
-        cur = lam
-        for pos in reversed(rep.word):
-            label = fin_labels[pos]
-            spos = strat.system._position(label)
-            root, _m = strat.simple_roots[spos]
-            coroot = strat.simple_coroots[spos][0]
-            val = pairing(datum, root, cur)
-            cur = tuple(c - val * cr for c, cr in zip(cur, coroot))
-        diff = tuple(a - b for a, b in zip(lam, cur))
-        if diff != beta_target:
-            continue
-        w = strat.system.element(rep.word_labels)
-        for alpha in alphas:
-            out.append((w, alpha))
-    out.sort(key=lambda pair: (pair[0].length, pair[0].word, pair[1]))
-    return tuple(out)
+
+    def below(point):
+        return all(a - b <= t for a, b, t in zip(lam, point, beta_target))
+
+    f = len(fin_labels)
+    walk = orbit_walk(datum, [root for root, _m in strat.simple_roots[:f]],
+                      [coroot for coroot, _c in strat.simple_coroots[:f]], lam, keep=below)
+    return tuple((strat.system._element(word), alpha) for word, point in walk
+                 if tuple(a - b for a, b in zip(lam, point)) == beta_target
+                 for alpha in alphas)

@@ -28,6 +28,7 @@ from .kl import (
 from .endoscopy import strata_for_degree, stratify
 from .multiplicity import (
     graded_partition_series,
+    index_highest_weights,
     multiplicity_matrix,
     simple_module_dimension,
     simple_weight_multiplicity,
@@ -305,8 +306,6 @@ def _cmd_character(args) -> str:
         hw_index = strat.index_set.index(y) if y in strat.index_set else None
         if hw_index is None:
             raise ValueError("--w must be an index-set element")
-        from .multiplicity import index_highest_weights
-
         hw = index_highest_weights(strat)[hw_index]
         nu = tuple(h - a for h, a in zip(hw, alpha))
         value = simple_weight_multiplicity(strat, y, nu)

@@ -11,8 +11,8 @@ action.  An element w is given by its columns w^{-1}(alpha_j); s_i is a left
 descent exactly when w^{-1}(alpha_i) is negative, and one routine,
 ``CoxeterSystem._descend``, strips the smallest left descent until none is
 left, spelling the canonical word.  Descents, parabolic projections, double
-coset minima, the Bruhat order, translations t_mu and the reflection in the
-highest root all go through it.
+coset minima, the Bruhat order, translations t_mu and the finite parts of
+affine elements all go through it.
 
 Finite systems (and length-bounded balls of affine ones) are enumerated
 lazily into multiplication tables, so products, descents and Bruhat tests
@@ -623,41 +623,28 @@ def affine_decompose(w: CoxeterElement):
 
     The element acts on coweights as v -> wbar(v) + mu; returns
     (wbar as an element of the finite Weyl system, mu as an integer tuple).
+    With alpha_0 = delta - theta, the finite parts of the columns
+    w^{-1}(alpha_j), j >= 1, are the columns of wbar; mu = w(0), where
+    s_0 acts as v -> s_theta(v) + theta^vee.
     """
     affsys = w.system
     datum = affsys.affine_of
     if datum is None:
         raise ValueError("affine_decompose requires an element of an affinization")
-    fin = weyl_system(datum)
-    wbar = fin.identity
-    mu = tuple(Fraction(0) for _ in range(datum.rank))
-    theta_vee = datum.highest_root_coroot
-    for p in w.word:  # positions equal labels in affinizations
-        if p == 0:
-            shift = coweight_action(wbar, theta_vee)
-            mu = tuple(m + s for m, s in zip(mu, shift))
-            wbar = multiply(wbar, fin.element(_theta_word(datum)))
-        else:
-            wbar = multiply(wbar, fin.generator(p))
-    if any(m.denominator != 1 for m in mu):
-        raise AssertionError("translation part must be integral")
-    return wbar, tuple(int(m) for m in mu)
-
-
-@lru_cache(maxsize=None)
-def _theta_word(datum: RootDatum):
-    """Reduced word (labels) of the reflection in the highest root.
-
-    s_theta is an involution, so its columns are its own images
-    s_theta(alpha_j) = alpha_j - <alpha_j, theta^vee> theta.
-    """
-    fin = weyl_system(datum)
     theta, theta_vee = datum.highest_root, datum.highest_root_coroot
-    cols = tuple(
-        tuple(u - int(pairing(datum, unit, theta_vee)) * t for u, t in zip(unit, theta))
-        for unit in fin._unit_columns)
-    word = fin._descend(cols, len(datum.positive_roots))[0]
-    return tuple(fin.labels[p] for p in word)
+    cols = tuple(tuple(c - col[0] * t for c, t in zip(col[1:], theta))
+                 for col in affsys._columns(w.word)[1:])
+    fin = weyl_system(datum)
+    wbar = fin._element(fin._descend(cols, len(datum.positive_roots))[0])
+    theta_row = [sum(a * t for a, t in zip(row, theta)) for row in datum.cartan_matrix]
+    mu = (0,) * datum.rank
+    for p in reversed(w.word):  # positions equal labels in affinizations
+        if p == 0:
+            shift = 1 - sum(r * m for r, m in zip(theta_row, mu))
+            mu = tuple(m + shift * t for m, t in zip(mu, theta_vee))
+        else:
+            mu = reflect(datum, p - 1, mu, side="coweight")
+    return wbar, mu
 
 
 def affine_length_from_parts(datum: RootDatum, wbar: CoxeterElement, mu) -> int:

@@ -12,7 +12,10 @@ This module computes:
 * the dominant representative ``lam'`` of ``lam`` under that subgroup, the
   minimal element ``y`` moving one to the other, the generators fixing
   ``lam'``, and the minimal coset representatives modulo those generators,
-  which index the strata attached to ``lam``.
+  which index the strata attached to ``lam``,
+* the orbit of ``lam'`` walked from that point (:func:`orbit_walk`), which
+  reads the same representatives off the orbit for the degree filters, the
+  highest weights and the affine strata.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -22,11 +25,13 @@ This module computes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from . import coxeter
 from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
 from .rootdata import (
     RationalCoweight,
@@ -46,7 +51,7 @@ __all__ = [
     "straighten",
     "stratify",
     "coweight_orbit_action",
-    "ambient_matrix",
+    "orbit_walk",
     "subgroup_matrices",
     "strata_for_degree",
 ]
@@ -191,13 +196,6 @@ def coweight_orbit_action(strat: Stratification, w: CoxeterElement, vec):
     return vec
 
 
-def ambient_matrix(strat: Stratification, w: CoxeterElement):
-    """Columns: images of the simple coweights under the subgroup element."""
-    n = strat.datum.rank
-    return tuple(coweight_orbit_action(strat, w, tuple(int(i == j) for i in range(n)))
-                 for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def _subgroup_matrices(datum: RootDatum, simple_indices):
     system = _endoscopic_system(datum, simple_indices)
@@ -223,6 +221,24 @@ def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
     return _subgroup_matrices(datum, tuple(simple_indices))
 
 
+def _integer_point(datum: RootDatum, roots, vec, shifts):
+    """The integer rows of ``roots`` (:func:`_integer_data`), one common
+    denominator ``d`` of ``vec`` and ``shifts``, and their numerators over
+    ``d``: reflections then act on numerators alone."""
+    rows = [row for row, _ in _integer_data(datum, roots)]
+    vec = [Fraction(x) for x in vec]
+    shifts = [Fraction(0)] * len(rows) if shifts is None else [Fraction(s) for s in shifts]
+    d = math.lcm(*(x.denominator for x in vec + shifts))
+    return (rows, d, tuple(x.numerator * (d // x.denominator) for x in vec),
+            [s.numerator * (d // s.denominator) for s in shifts])
+
+
+def _value(row, shift, point):
+    """``<beta, v> + shift`` from the integer row of beta; coordinates of
+    ``point`` past the row (an imaginary part) do not pair."""
+    return sum(map(mul, row, point)) + shift
+
+
 def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
                shifts=None, sign=1):
     """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
@@ -235,23 +251,66 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
     ``mover``, the element of ``system`` spelled by the recorded word, is
     the minimal element taking ``lambda_prime`` back to ``vec``.
     """
-    if shifts is None:
-        shifts = (0,) * len(roots)
-    vec = tuple(vec)
+    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
     word = []
     for _ in range(100000):
-        for i, (beta, shift) in enumerate(zip(roots, shifts)):
-            value = pairing(datum, beta, vec) + shift
+        for i, (row, shift) in enumerate(zip(rows, shifts)):
+            value = _value(row, shift, point)
             if sign * value < 0:
                 break
         else:
             mover = CoxeterElement(system, system._canonical(tuple(word)))
             if len(mover.word) != len(word):
                 raise AssertionError("straightening word must be reduced")
-            return vec, mover
+            return tuple(Fraction(c, d) for c in point), mover
         word.append(i)
-        vec = tuple(c - value * cr for c, cr in zip(vec, coroots[i]))
+        point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
     raise AssertionError("straightening did not terminate")
+
+
+def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
+               keep=None):
+    """Pairs ``(word, w(start))`` for the minimal coset representatives w
+    modulo the stabilizer of ``start``, sorted by (length, word); words are
+    positions into ``roots`` and points Fraction vectors.
+
+    ``start`` must be dominant for the values
+    ``sign * (<roots[i], v> + shifts[i])`` of :func:`straighten`.  The
+    representatives are in bijection with the orbit (Deodhar's lemma;
+    Bjorner-Brenti, GTM 231, ch. 2): s_i * w is the next one exactly when
+    value i is positive at w(start), and its canonical word is the least
+    ``(i,) + word(w)`` found.  Coroots may carry coordinates past the roots'
+    (an imaginary part); they move but do not pair.  ``keep(point)`` may
+    refuse a point, and must then refuse everything above it too, as a
+    bound on the degree ``start - point`` does.
+    """
+    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
+    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
+        raise ValueError("the start of an orbit walk must be dominant")
+
+    def fractions(point):
+        return tuple(Fraction(c, d) for c in point)
+
+    out = []
+    level = {point: ()} if keep is None or keep(fractions(point)) else {}
+    while level:
+        if len(out) + len(level) > coxeter._ENUM_LIMIT:
+            raise ValueError(
+                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
+        ordered = sorted(level.items(), key=lambda item: item[1])
+        out += [(word, fractions(point)) for point, word in ordered]
+        nxt = {}
+        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
+            for point, word in ordered:
+                value = _value(row, shift, point)
+                if sign * value <= 0:
+                    continue
+                image = tuple(c - value * cr for c, cr in zip(point, coroot))
+                if image not in nxt:  # least letter first, then least word
+                    kept = keep is None or keep(fractions(image))
+                    nxt[image] = (i,) + word if kept else None
+        level = {image: word for image, word in nxt.items() if word is not None}
+    return out
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
@@ -278,13 +337,14 @@ def strata_for_degree(strat: Stratification, alpha):
     """Index-set elements w with lambda' - w(lambda') below alpha.
 
     ``alpha`` is an ambient coweight vector; "below" means the difference
-    is a componentwise nonnegative integer vector.
+    is a componentwise nonnegative integer vector.  The difference only
+    grows along the orbit walk, so the walk stops at the bound.
     """
-    alpha = tuple(Fraction(x) for x in alpha)
-    out = []
-    for w in strat.index_set:
-        moved = coweight_orbit_action(strat, w, strat.lambda_prime)
-        diff = tuple(a - b for a, b in zip(strat.lambda_prime, moved))
-        if dominance_compare(diff, alpha):
-            out.append(w)
-    return tuple(out)
+    lam = strat.lambda_prime
+
+    def below(point):
+        return dominance_compare(tuple(a - b for a, b in zip(lam, point)), alpha)
+
+    walk = orbit_walk(strat.datum, strat.simple_roots, strat.simple_coroots, lam,
+                      keep=below)
+    return tuple(strat.system._element(word) for word, _point in walk)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import CoxeterElement, longest_element, multiply
-from .endoscopy import Stratification, coweight_orbit_action
+from .endoscopy import Stratification, coweight_orbit_action, orbit_walk
 from .kl import kl_polynomial, _padd, _pshift
 from .linalg import invert_unitriangular
 
@@ -46,11 +46,9 @@ def _singular_longest(strat: Stratification) -> CoxeterElement:
 def index_highest_weights(strat: Stratification):
     """Highest weights w(lam') - rho, one per index-set element, in order."""
     rho = strat.datum.rho
-    out = []
-    for w in strat.index_set:
-        moved = coweight_orbit_action(strat, w, strat.lambda_prime)
-        out.append(tuple(m - r for m, r in zip(moved, rho)))
-    return tuple(out)
+    walk = orbit_walk(strat.datum, strat.simple_roots, strat.simple_coroots,
+                      strat.lambda_prime)
+    return tuple(tuple(m - r for m, r in zip(point, rho)) for _word, point in walk)
 
 
 def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,

@@ -152,7 +152,7 @@ class RationalCoweight:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("denominator must be a positive integer")
         if not all(isinstance(c, int) for c in self.mu):
             raise ValueError("mu must be a vector of integers")

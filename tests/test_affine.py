@@ -376,3 +376,18 @@ def test_critical_strata_rejects_noncritical():
     s = affine_endoscopy(A1, x)
     with pytest.raises(ValueError):
         critical_strata_index(s, ((1,), 0))
+
+
+def test_critical_strata_of_e7_walk_the_orbit_only():
+    """The finite integral group is all of E7 (2.9 million elements, over the
+    enumeration limit); the orbit of lambda' = theta^vee has 126 points."""
+    e7 = build_root_datum("E", 7)
+    start = time.perf_counter()
+    s = affine_endoscopy(e7, AffineCoweight((0, 0, 0, 0, 0, 0, 1), (1, 0), 1))
+    assert s.level_class is LevelClass.CRITICAL
+    zero = critical_strata_index(s, ((0,) * 7, 0))
+    assert [(w.word, alpha) for w, alpha in zero] == [((), (0,) * 7)]
+    twice_theta = tuple(2 * c for c in e7.highest_root_coroot)
+    far = critical_strata_index(s, (twice_theta, 0))
+    assert [(w.length, alpha) for w, alpha in far] == [(33, (0,) * 7)]
+    assert time.perf_counter() - start < 5

@@ -426,6 +426,19 @@ def test_e8_translation_decomposes_without_enumerating():
     assert weyl_system(e8)._tab is None
 
 
+def test_long_affine_words_decompose_and_rebuild():
+    """wbar read off the columns of w and mu = w(0): t_mu * wbar gives back
+    random E8 words of 300 letters, whose finite parts are not trivial."""
+    e8 = build_root_datum("E", 8)
+    aff = affinization(e8)
+    rng = random.Random(5)
+    for _ in range(3):
+        w = aff.element([rng.randrange(9) for _ in range(300)])
+        wbar, mu = affine_decompose(w)
+        assert not wbar.is_identity
+        assert multiply(translation_element(aff, mu), aff.element(wbar.word_labels)) == w
+
+
 def test_translation_requires_affinization():
     with pytest.raises(ValueError):
         translation_element(weyl_system(A2), (1, 0))

@@ -1,7 +1,9 @@
 """Tests for integral subsystems, their Coxeter systems, and stratification."""
 
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,13 @@ from weylkl.endoscopy import (
     endoscopic_system,
     indecomposable_indices,
     integral_positive_roots,
+    orbit_walk,
     strata_for_degree,
     stratify,
     subgroup_matrices,
 )
+
+SMALL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "small_pool.json"
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -199,3 +204,48 @@ def test_strata_for_degree_growth():
     small = set(strata_for_degree(strat, (1, 0)))
     large = set(strata_for_degree(strat, (2, 2)))
     assert small <= large
+
+
+# -- the orbit walk ------------------------------------------------------------
+
+
+def walk_of(strat, keep=None):
+    return orbit_walk(strat.datum, strat.simple_roots, strat.simple_coroots,
+                      strat.lambda_prime, keep=keep)
+
+
+def test_orbit_walk_is_the_index_set_on_the_small_pool():
+    """Words are the index set's canonical words, in its order, and points
+    are the orbit, on every block of the benchmark's small-block pool."""
+    pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+    assert len(pool) == 2000
+    for entry in pool:
+        datum = build_root_datum(entry["type"], entry["rank"])
+        strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
+        walk = walk_of(strat)
+        assert [word for word, _ in walk] == [w.word for w in strat.index_set]
+        assert [point for _, point in walk] == [
+            coweight_orbit_action(strat, w, strat.lambda_prime) for w in strat.index_set]
+
+
+def test_orbit_walk_keep_refuses_everything_above():
+    strat = stratify(A2, RationalCoweight((1, 1), 1))
+    lam = strat.lambda_prime
+    below = lambda point: sum(a - b for a, b in zip(lam, point)) <= 2
+    kept = [word for word, _ in walk_of(strat, keep=below)]
+    assert kept == [w.word for w in strat.index_set if w.length <= 1]
+    assert walk_of(strat, keep=lambda point: False) == []
+
+
+def test_orbit_walk_start_must_be_dominant():
+    strat = stratify(A2, RationalCoweight((1, 1), 1))
+    with pytest.raises(ValueError):
+        orbit_walk(A2, strat.simple_roots, strat.simple_coroots, (-1, 2))
+
+
+def test_orbit_walk_past_the_enumeration_limit_raises(monkeypatch):
+    strat = stratify(build_root_datum("A", 3), RationalCoweight((3, 4, 3), 2))  # rho
+    assert len(walk_of(strat)) == 24
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        walk_of(strat)

@@ -136,6 +136,12 @@ def test_rational_coweight():
         RationalCoweight((Fraction(1, 2), 1), 2)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, Fraction(2), "2"])
+def test_rational_coweight_denominator_must_be_an_integer(n):
+    with pytest.raises(ValueError):
+        RationalCoweight((1, 1), n)
+
+
 def test_dominance_compare():
     assert dominance_compare((0, 0), (1, 2))
     assert dominance_compare((1, 2), (1, 2))
