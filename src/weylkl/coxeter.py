@@ -14,10 +14,11 @@ left, spelling the canonical word.  Descents, parabolic projections, double
 coset minima, the Bruhat order, translations t_mu and the finite parts of
 affine elements all go through it.
 
-Finite systems (and length-bounded balls of affine ones) are enumerated
-lazily into multiplication tables, so products, descents and Bruhat tests
-are cheap afterwards; once a finite table is complete, canonical words are
-read from it in O(length).
+Parabolic quotients W^J (J = () gives W) of finite systems, and
+length-bounded balls of affine ones, are walked lazily into tables along
+the orbit of rho_J, one table per J, with left products, canonical words
+and Bruhat columns; once the table of a finite W is complete, canonical
+words are read from it in O(length).
 
 >>> system = weyl_system(build_root_datum("A", 2))
 >>> w0 = longest_element(system)
@@ -88,7 +89,7 @@ class CoxeterSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n))
         self._bonds = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in gcm)
-        self._tab = None  # enumeration tables
+        self._tabs = {}  # enumeration tables, one per parabolic J
         self._kind = None
 
     # -- identity ------------------------------------------------------
@@ -221,12 +222,13 @@ class CoxeterSystem:
 
     def _canonical(self, word):
         """Lexicographically least reduced word equal to ``word``."""
-        if self._tab is not None and self._tab["complete"]:
+        tab = self._tabs.get(())
+        if tab is not None and tab["complete"]:
             ident = 0
-            rmult = self._tab["rmult"]
-            for s in word:
-                ident = rmult[ident][s]
-            return self._tab["words"][ident]
+            lmult = tab["lmult"]
+            for s in reversed(word):
+                ident = lmult[ident][s]
+            return tab["words"][ident]
         return self._descend(self._columns(word), len(word))[0]
 
     # -- elements --------------------------------------------------------
@@ -255,113 +257,101 @@ class CoxeterSystem:
 
     # -- enumeration -----------------------------------------------------
 
-    def _ensure_tables(self, up_to=None):
-        """Enumerate the group (finite) or the length ball (affine).
+    def _ensure_tables(self, up_to=None, J=()):
+        """The table of W^J (J = () gives W), or of its ball up to ``up_to``.
 
-        Breadth first by length, so ids run in order of length.  s_i * g is
-        new only when s_i is not a left descent of g, and then it is one
-        longer, so each level's columns are matched against the next level
-        alone.  Right products follow from g * s_i = s_a * (h * s_i) with
-        a = fld[g] and h = s_a * g.
+        W^J is walked as the orbit of rho_J (0 on the positions ``J``, 1
+        elsewhere) in fundamental-weight coordinates, (s_i v)_j = v_j -
+        v_i * gcm[j][i].  At the point v of x, v_i > 0 makes s_i * x a longer
+        element of W^J, v_i < 0 marks a left descent, and v_i = 0 is a stuck
+        letter (s_i * x = x * s_j, s_j in W_J), recorded as lmult[x][i] = x.
+        Breadth first, so ids run in order of length; the last level is
+        kept, so a larger ``up_to`` extends a ball instead of rebuilding it.
         """
         if up_to is None and not self.is_finite:
             raise ValueError("system is infinite; a length bound is required")
-        if self._tab is not None:
-            if self._tab["complete"] or (up_to is not None and self._tab["max_len"] >= up_to):
-                return self._tab
-        n = self.rank
-        length = [0]
-        lmult = [[None] * n]
-        frontier = [(0, self._unit_columns)]
-        cur_len = 0
-        complete = True
-        while frontier:
-            if up_to is not None and cur_len >= up_to:
-                complete = False
-                break
-            nxt, key2id = [], {}
-            for g, cols in frontier:
+        tab = self._tabs.get(J)
+        if tab is None:
+            n = self.rank
+            rho = tuple(int(i not in J) for i in range(n))
+            tab = self._tabs[J] = {
+                "length": [0], "lmult": [[None] * n], "words": [()], "fld": [None],
+                "frontier": [(0, rho)], "complete": False, "max_len": 0, "size": 1,
+                "bruhat": [1]}  # only e <= e
+        if not (tab["complete"] or (up_to is not None and tab["max_len"] >= up_to)):
+            self._walk(tab, up_to)
+        return tab
+
+    def _walk(self, tab, up_to):
+        length, lmult, words, fld = tab["length"], tab["lmult"], tab["words"], tab["fld"]
+        gcm, n = self.gcm, self.rank
+        frontier, cur_len = tab["frontier"], tab["max_len"]
+        while frontier and (up_to is None or cur_len < up_to):
+            nxt = {}
+            for g, point in frontier:
                 row = lmult[g]
-                for i in range(n):
-                    if row[i] is not None:
+                for i, vi in enumerate(point):
+                    if vi < 0:
                         continue  # a left descent: s_i * g is already known
-                    key = self._reflect_columns(cols, i)
-                    known = key2id.get(key)
+                    if vi == 0:
+                        row[i] = g  # stuck
+                        continue
+                    image = tuple(vj - vi * gcm[j][i] for j, vj in enumerate(point))
+                    known = nxt.get(image)
                     if known is None:
                         known = len(length)
                         if known > _ENUM_LIMIT:
                             raise ValueError(
                                 f"enumeration limit exceeded: more than "
                                 f"{_ENUM_LIMIT} elements")
-                        key2id[key] = known
+                        nxt[image] = known
                         length.append(cur_len + 1)
                         lmult.append([None] * n)
-                        nxt.append((known, key))
                     row[i] = known
                     lmult[known][i] = g
-            frontier = nxt
+            for point, g in nxt.items():  # ids in order; every descent is known
+                a = next(i for i, vi in enumerate(point) if vi < 0)
+                fld.append(a)
+                words.append((a,) + words[lmult[g][a]])
+            frontier = [(g, point) for point, g in nxt.items()]
             cur_len += 1
-        size = len(length)
-        words = [()] * size
-        fld = [None] * size
-        rmult = [list(lmult[0])]
-        for g in range(1, size):
-            row = lmult[g]
-            a = next(i for i, h in enumerate(row)
-                     if h is not None and length[h] < length[g])
-            h = row[a]
-            fld[g] = a
-            words[g] = (a,) + words[h]
-            rmult.append([lmult[x][a] for x in rmult[h]])
-        self._tab = {
-            "length": length, "lmult": lmult, "rmult": rmult, "words": words,
-            "fld": fld, "complete": complete,
-            "max_len": cur_len if not complete else max(length),
-            "size": size, "bruhat": None,
-        }
-        return self._tab
+        tab.update(frontier=frontier, complete=not frontier, size=len(length),
+                   max_len=length[-1])
 
     def size(self):
         return self._ensure_tables()["size"]
 
-    def _id_of(self, element):
-        if self._tab is None:
-            self._ensure_tables()
-        tab = self._tab
+    def _id_of(self, element, J=()):
+        """Id of an element of W^J in its table, read right to left."""
+        lmult = self._tabs[J]["lmult"]
         ident = 0
-        for s in element.word:
-            ident = tab["rmult"][ident][s]
+        for s in reversed(element.word):
+            ident = lmult[ident][s]
             if ident is None:
                 raise ValueError("element lies outside the enumerated ball")
         return ident
 
-    def _bruhat_columns(self):
-        """bruhat[w] = bitmask of {y : y <= w} over the enumerated elements.
+    def _bruhat_columns(self, J=()):
+        """bruhat[w] = bitmask of {y : y <= w} over the table of W^J.
 
-        Works on complete tables and on affine length balls: an element on
-        the ball boundary has every smaller element of the ball available,
-        which is all the lifting recurrence consults.
+        Works on complete tables and on length balls: an element on the ball
+        boundary has every smaller element of the ball available, which is
+        all the lifting recurrence consults (a stuck letter lifts y to y).
+        Columns are extended, never rebuilt, as the table grows.
         """
-        if self._tab is None:
-            self._ensure_tables()
-        tab = self._tab
-        if tab["bruhat"] is not None:
-            return tab["bruhat"]
-        size, length, lmult, fld = tab["size"], tab["length"], tab["lmult"], tab["fld"]
-        cols = [0] * size
-        cols[0] = 1  # only e <= e
-        for w in range(1, size):  # ids run in order of length
+        tab = self._tabs.get(J) or self._ensure_tables(J=J)
+        length, lmult, fld = tab["length"], tab["lmult"], tab["fld"]
+        cols = tab["bruhat"]
+        for w in range(len(cols), tab["size"]):  # ids run in order of length
             s = fld[w]
-            sw = lmult[w][s]
-            base = cols[sw]
+            base = cols[lmult[w][s]]
             out = 0
-            for y in range(size):
+            for y in range(w + 1):
                 sy = lmult[y][s]
                 lift = sy if sy is not None and length[sy] < length[y] else y
                 if (base >> lift) & 1:
                     out |= 1 << y
-            cols[w] = out
-        tab["bruhat"] = cols
+            cols.append(out)
         return cols
 
 
@@ -476,28 +466,12 @@ def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
 
     ``J`` is a collection of generator labels.  For infinite systems a
     ``length_bound`` is required and the representatives of length at most
-    the bound are returned.
+    the bound are returned.  This reads the table of W^J.
     """
-    Jpos = frozenset(system._position(j) for j in J)
-    if system.is_finite:
-        tab = system._ensure_tables()
-    else:
-        if length_bound is None:
-            raise ValueError("system is infinite; a length bound is required")
-        tab = system._ensure_tables(up_to=length_bound)
-    rmult, length, words = tab["rmult"], tab["length"], tab["words"]
-    out = []
-    for g in range(tab["size"]):
-        if length_bound is not None and length[g] > length_bound:
-            continue
-        ok = True
-        for j in Jpos:
-            h = rmult[g][j]
-            if h is not None and length[h] < length[g]:
-                ok = False
-                break
-        if ok:
-            out.append(system._element(words[g]))
+    tab = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))
+    length, words = tab["length"], tab["words"]
+    out = [system._element(words[g]) for g in range(tab["size"])
+           if length_bound is None or length[g] <= length_bound]
     out.sort(key=lambda w: (w.length, w.word))
     return tuple(out)
 

@@ -59,14 +59,15 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _pairing_rows(datum: RootDatum):
-    """Integer rows r_k with <beta_k, mu> = r_k . mu, one per positive root."""
+    """Integer rows r_k with <beta_k, mu> = r_k . mu, one per positive root,
+    and the index k of each positive root beta_k."""
     cartan = datum.cartan_matrix
     n = datum.rank
     rows = []
     for beta in datum.positive_roots:
         rows.append(tuple(sum(cartan[j][i] * beta[i] for i in range(n))
                           for j in range(n)))
-    return tuple(rows)
+    return tuple(rows), {beta: k for k, beta in enumerate(datum.positive_roots)}
 
 
 def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
@@ -74,7 +75,7 @@ def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
     n = lam.n
     mu = lam.mu
     out = []
-    for k, row in enumerate(_pairing_rows(datum)):
+    for k, row in enumerate(_pairing_rows(datum)[0]):
         total = 0
         for r, m in zip(row, mu):
             total += r * m
@@ -86,8 +87,7 @@ def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
 def _integer_data(datum: RootDatum, roots):
     """Integer row (``<beta, mu> = row . mu``) and coroot of each finite root
     ``beta``; a negative root takes the negated data of its positive."""
-    rows, coroots = _pairing_rows(datum), datum.positive_coroots
-    where = {beta: k for k, beta in enumerate(datum.positive_roots)}
+    (rows, where), coroots = _pairing_rows(datum), datum.positive_coroots
     out = []
     for beta in roots:
         k = where.get(beta)

@@ -1,11 +1,18 @@
 """Kazhdan-Lusztig polynomials over any system from the Coxeter engine.
 
 Polynomials in q are stored as tuples of integer coefficients, constant
-term first; the empty tuple is the zero polynomial.  Computation uses the
-descent recursion with mu-corrections, memoized per system, over the
-enumerated multiplication tables (complete for finite systems, length
-balls for affine ones).  Tables for the built-in named systems can be
-persisted in a small text cache (see :class:`KLFileCache`).
+term first; the empty tuple is the zero polynomial.  One engine computes
+them: du Cloux's mu-list column fill (Experiment. Math. 11, 2002) on the
+table of a parabolic quotient W^J (:meth:`CoxeterSystem._ensure_tables`),
+column {y <= w} from the column of v = s*w and v's list of nonzero mu.
+J = () gives W (or an affine ball, extended as it grows) for
+:func:`kl_polynomial`, which fills only the lower Bruhat ideal of w, and
+:func:`kl_table`.  Otherwise a stuck letter s of x (s*x = x*s_j, s_j in
+W_J) reads as a descent with P_{sx,v} = P_{x,v}, giving Deodhar's
+parabolic polynomials for u = -1 (J. Algebra 111, 1987),
+P^J_{x,y} = P_{x w_J, y w_J}, which the multiplicity matrices read.
+Polynomials of the named systems can be kept in a text cache
+(:class:`KLFileCache`).
 
 >>> from weylkl.rootdata import build_root_datum
 >>> from weylkl.coxeter import weyl_system, longest_element
@@ -53,12 +60,6 @@ def _padd(a, b):
                  for i in range(n))
 
 
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                 for i in range(n))
-
-
 def _pshift(a, k):
     return ((0,) * k + tuple(a)) if a else ()
 
@@ -79,70 +80,98 @@ def poly_string(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-# -- core recursion ----------------------------------------------------------
+# -- the column fill ---------------------------------------------------------
 
 
-def _kl_ids(tab, cols, yid, wid, memo):
-    if yid == wid:
-        return (1,)
-    if not (cols[wid] >> yid) & 1:
-        return ()
-    length = tab["length"]
-    diff = length[wid] - length[yid]
-    if diff <= 2:
-        return (1,)
-    key = (yid, wid)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    lmult, fld = tab["lmult"], tab["fld"]
-    s = fld[wid]
-    vid = lmult[wid][s]  # sw, shorter than w
-    syid = lmult[yid][s]
-    if length[syid] > length[yid]:
-        res = _kl_ids(tab, cols, syid, wid, memo)
-    else:
-        res = _padd(_kl_ids(tab, cols, syid, vid, memo),
-                    _pshift(_kl_ids(tab, cols, yid, vid, memo), 1))
-        lv, lw = length[vid], length[wid]
-        mask = cols[vid]
-        while mask:
-            low = mask & -mask
-            zid = low.bit_length() - 1
-            mask ^= low
-            szid = lmult[zid][s]
-            if szid is None or length[szid] > length[zid]:
-                continue  # need sz < z (this also skips z = v, since sv = w)
-            if not (cols[zid] >> yid) & 1:
-                continue  # need y <= z
-            gap = lv - length[zid]
-            if gap % 2 == 0:
+_ONE = (1,)
+
+
+def _bits(mask):
+    """Positions of the set bits of ``mask``, highest first."""
+    text = bin(mask)
+    top = len(text) - 3
+    return [top - k for k, bit in enumerate(text[2:]) if bit == "1"]
+
+
+def _fill(system: CoxeterSystem, J, wids):
+    """Fill the KL columns of the ids ``wids``, which must be a lower ideal.
+
+    Column w maps each y <= w to P_{y,w}.  With s = fld[w] and v = s*w,
+    a y with sy < y, or with s stuck at y (which reads as sy = y), has
+
+        P_{y,w} = P_{sy,v} + q P_{y,v}
+                  - sum of mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
+
+    over v's mu-list: the z < v with mu(z,v) != 0 and sz < z or s stuck
+    at z.  A y with sy > y has P_{y,w} = P_{sy,w}, filled first since y
+    runs down in length.  Each distinct polynomial is stored once.
+    """
+    tab = system._tabs[J]
+    bruhat = system._bruhat_columns(J)
+    length, lmult, fld = tab["length"], tab["lmult"], tab["fld"]
+    kl = tab.setdefault("kl", {})
+    mulists = tab.setdefault("mu", {})
+    polys = tab.setdefault("polys", {_ONE: _ONE})
+    for w in sorted(wids):
+        if w in kl:
+            continue
+        col = {w: _ONE}
+        if w == 0:
+            kl[w], mulists[w] = col, []
+            continue
+        s, lw = fld[w], length[w]
+        v = lmult[w][s]
+        Pv = kl[v]
+        terms = []
+        for z, mu in mulists[v]:
+            sz = lmult[z][s]
+            if length[sz] <= length[z]:  # sz < z, or s stuck at z
+                terms.append((kl[z], mu, (lw - length[z]) // 2))
+        for y in _bits(bruhat[w])[1:]:
+            sy, ly = lmult[y][s], length[y]
+            if length[sy] > ly:
+                col[y] = col[sy]
                 continue
-            pzv = _kl_ids(tab, cols, zid, vid, memo)
-            half = (gap - 1) // 2
-            mu = pzv[half] if len(pzv) > half else 0
-            if mu:
-                term = _pshift(_kl_ids(tab, cols, yid, zid, memo),
-                               (lw - length[zid]) // 2)
-                res = _psub(res, tuple(mu * c for c in term))
-        if not res or res[0] != 1:
-            raise AssertionError("constant term of a KL polynomial must be 1")
-        if len(res) - 1 > (diff - 1) // 2:
-            raise AssertionError("KL degree bound violated")
-        if min(res) < 0:
-            raise AssertionError("KL coefficients must be nonnegative")
-    memo[key] = res
-    return res
+            if lw - ly <= 2:
+                col[y] = _ONE
+                continue
+            Pyv = Pv.get(y)
+            if Pyv is None:  # y is below neither v nor any z < v
+                col[y] = Pv[sy]
+                continue
+            res = [0] * ((lw - ly + 3) // 2)
+            for k, c in enumerate(Pv[sy]):
+                res[k] += c
+            for k, c in enumerate(Pyv):
+                res[k + 1] += c
+            for Pz, mu, shift in terms:
+                for k, c in enumerate(Pz.get(y, ())):
+                    res[k + shift] -= mu * c
+            while res and res[-1] == 0:
+                res.pop()
+            if not res or res[0] != 1:
+                raise AssertionError("constant term of a KL polynomial must be 1")
+            if len(res) - 1 > (lw - ly - 1) // 2:
+                raise AssertionError("KL degree bound violated")
+            if min(res) < 0:
+                raise AssertionError("KL coefficients must be nonnegative")
+            res = tuple(res)
+            col[y] = polys.setdefault(res, res)
+        mus = []
+        for y, poly in col.items():
+            gap = lw - length[y]
+            if gap % 2 and len(poly) > gap // 2 and poly[gap // 2]:
+                mus.append((y, poly[gap // 2]))
+        kl[w], mulists[w] = col, mus  # only whole columns are kept
+    return kl
 
 
-def _prepare(system: CoxeterSystem, needed_length: int):
-    if system.is_finite:
-        tab = system._ensure_tables()
-    else:
-        tab = system._ensure_tables(up_to=needed_length)
-    cols = system._bruhat_columns()
-    memo = tab.setdefault("klmemo", {})
-    return tab, cols, memo
+def _kl_column(system: CoxeterSystem, w: CoxeterElement, J=()):
+    """Column {id of y: P_{y,w}} of w in the table of W^J, filling only the
+    columns of the lower Bruhat ideal of w."""
+    system._ensure_tables(up_to=len(w.word), J=J)
+    wid = system._id_of(w, J)
+    return _fill(system, J, _bits(system._bruhat_columns(J)[wid]))[wid]
 
 
 def kl_polynomial(system: CoxeterSystem, y: CoxeterElement, w: CoxeterElement,
@@ -159,8 +188,7 @@ def kl_polynomial(system: CoxeterSystem, y: CoxeterElement, w: CoxeterElement,
         got = file_cache.get(system, y, w)
         if got is not None:
             return got
-    tab, cols, memo = _prepare(system, len(w.word))
-    res = _kl_ids(tab, cols, system._id_of(y), system._id_of(w), memo)
+    res = _kl_column(system, w).get(system._id_of(y), ())
     if file_cache is not None and interesting and res:
         file_cache.put(system, y, w, res)
     return res
@@ -183,30 +211,23 @@ def kl_mu(system: CoxeterSystem, z: CoxeterElement, v: CoxeterElement,
 def kl_table(system: CoxeterSystem, max_length=None):
     """All P_{y,w} for y <= w, keyed by (y label word, w label word).
 
-    The upper elements are filled in order of length, so every recursive
-    call lands on pairs that are shorter or already memoized.  Infinite
-    systems need ``max_length``, which bounds the length of w.
+    The J = () case of the column fill: every column of the table of W,
+    which has no stuck letters, up to length ``max_length`` (required for
+    infinite systems).
     """
-    if max_length is None:
-        if not system.is_finite:
-            raise ValueError("system is infinite; max_length is required")
-        tab, cols, memo = _prepare(system, 0)
-        wids = range(tab["size"])
-    else:
-        tab, cols, memo = _prepare(system, max_length)
-        wids = [g for g in range(tab["size"]) if tab["length"][g] <= max_length]
-    words = tab["words"]
-    labels = system.labels
+    if max_length is None and not system.is_finite:
+        raise ValueError("system is infinite; max_length is required")
+    tab = system._ensure_tables(up_to=max_length)
+    length, words = tab["length"], tab["words"]
+    wids = [g for g in range(tab["size"])
+            if max_length is None or length[g] <= max_length]
+    kl = _fill(system, (), wids)
+    labelled = [tuple(system.labels[p] for p in word) for word in words]
     out = {}
-    for wid in sorted(wids, key=lambda g: (tab["length"][g], words[g])):
-        wkey = tuple(labels[p] for p in words[wid])
-        mask = cols[wid]
-        while mask:
-            low = mask & -mask
-            yid = low.bit_length() - 1
-            mask ^= low
-            poly = _kl_ids(tab, cols, yid, wid, memo)
-            out[(tuple(labels[p] for p in words[yid]), wkey)] = poly
+    for wid in sorted(wids, key=lambda g: (length[g], words[g])):
+        col = kl[wid]
+        for yid in sorted(col):
+            out[(labelled[yid], labelled[wid])] = col[yid]
     return out
 
 

@@ -7,8 +7,10 @@ algebra.  The multiplicity of the simple module with highest weight
 ``y(lam') - rho`` inside the Verma with highest weight ``w(lam') - rho``
 equals the Kazhdan-Lusztig polynomial ``P_{w w0, y w0}`` of the subsystem's
 Coxeter system evaluated at 1, where ``w0`` is the longest element of the
-subgroup generated by the generators fixing ``lam'``.  The polynomial itself
-is the graded (layer-by-layer) version of the multiplicity.
+subgroup W_J generated by the generators fixing ``lam'``.  These are
+Deodhar's parabolic polynomials (u = -1) on W^J, read off the column fill of
+the table of W^J itself, so a block costs only |W^J|.  The polynomial
+itself is the graded (layer-by-layer) version of the multiplicity.
 
 Graded partition counts for character manipulations live here as well: the
 q-coefficient of a partition count records the number of parts, so that
@@ -21,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import CoxeterElement, longest_element, multiply
+from .coxeter import CoxeterElement, _positions, longest_element
 from .endoscopy import Stratification, coweight_orbit_action, orbit_walk
-from .kl import kl_polynomial, _padd, _pshift
+from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
 
 __all__ = [
@@ -39,10 +41,6 @@ __all__ = [
 ]
 
 
-def _singular_longest(strat: Stratification) -> CoxeterElement:
-    return longest_element(strat.system, strat.singular)
-
-
 def index_highest_weights(strat: Stratification):
     """Highest weights w(lam') - rho, one per index-set element, in order."""
     rho = strat.datum.rho
@@ -56,8 +54,8 @@ def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
     """Graded multiplicity of the y-simple in the w-Verma (tuple of coeffs)."""
     if w not in strat.index_set or y not in strat.index_set:
         raise ValueError("multiplicities are indexed by the stratification's index set")
-    w0 = _singular_longest(strat)
-    return kl_polynomial(strat.system, multiply(w, w0), multiply(y, w0))
+    J = tuple(_positions(strat.system, strat.singular))
+    return _kl_column(strat.system, y, J).get(strat.system._id_of(w, J), ())
 
 
 def multiplicity(strat: Stratification, w: CoxeterElement, y: CoxeterElement) -> int:
@@ -71,9 +69,12 @@ def multiplicity_matrix(strat: Stratification):
     Upper unitriangular: the index set is sorted by length, and the entry
     vanishes unless w is below y in the Bruhat order.
     """
-    w0 = _singular_longest(strat)
-    shifted = [multiply(w, w0) for w in strat.index_set]
-    return [[sum(kl_polynomial(strat.system, w, y)) for y in shifted] for w in shifted]
+    system = strat.system
+    J = tuple(_positions(system, strat.singular))
+    system._ensure_tables(J=J)
+    ids = [system._id_of(w, J) for w in strat.index_set]
+    kl = _fill(system, J, ids)
+    return [[sum(kl[y].get(w, ())) for y in ids] for w in ids]
 
 
 def inverse_multiplicity_matrix(strat: Stratification):

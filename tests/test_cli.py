@@ -87,8 +87,9 @@ def test_oversized_enumeration_is_refused_up_front(capsys, argv):
 
 
 def test_enumeration_limit_exits_one_on_any_path(capsys, monkeypatch):
-    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
-    # affine subsystems are built afresh on every call, so nothing is cached
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 5)
+    # affine subsystems are built afresh on every call, so nothing is cached;
+    # the walk covers only the 9 elements of W^J up to length 4
     code, _, err = run(capsys, "affine", "--type", "A", "--rank", "2",
                        "--lambda", "0,0/1", "--level", "1", "--length", "4")
     assert code == 1
@@ -122,6 +123,25 @@ def test_multiplicity_json_round_trip(capsys):
     assert payload["matrix"] == expected
     assert payload["index"][0] == "e"
     assert len(payload["index"]) == 6
+
+
+@pytest.mark.parametrize("rank,lam,size", [
+    (7, "0,0,0,0,0,0,1/1", 126),
+    (8, "1,0,0,0,0,0,0,0/1", 240),
+])
+def test_exceptional_singular_blocks_cost_only_their_quotient(capsys, rank, lam, size):
+    """|W| is far past the enumeration limit; |W^J| is not."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "multiplicity", "--type", "E", "--rank", str(rank),
+                         "--lambda", lam)
+    assert time.perf_counter() - start < 5
+    assert code == 0, err
+    header, *rows = out.strip().splitlines()
+    assert len(header.split(":", 1)[1].split()) == size
+    matrix = [[int(x) for x in row.split("[", 1)[1].rstrip("]").split()] for row in rows]
+    assert len(matrix) == size and all(len(row) == size for row in matrix)
+    assert all(x == (i == j) if j <= i else x >= 0
+               for i, row in enumerate(matrix) for j, x in enumerate(row))
 
 
 def test_multiplicity_output_deterministic(capsys):

@@ -189,3 +189,38 @@ def test_file_cache_from_env(tmp_path, monkeypatch):
     assert cache.path == path
     monkeypatch.delenv(CACHE_ENV_VAR)
     assert file_cache_from_env().path is None
+
+
+def test_growing_affine_queries_walk_each_level_once(monkeypatch):
+    """P_{e,w} on A2~ for l(w) = 3..9 extends the ball one level at a time,
+    keeping the Bruhat and KL columns already computed."""
+    aff = affinization(build_root_datum("A", 2))
+    system = CoxeterSystem(aff.gcm, labels=aff.labels)
+    walked = []
+    walk = CoxeterSystem._walk
+
+    def counting_walk(self, tab, up_to):
+        before = tab["max_len"]
+        walk(self, tab, up_to)
+        walked.append((before, tab["max_len"]))
+
+    monkeypatch.setattr(CoxeterSystem, "_walk", counting_walk)
+    word = (0, 1, 2) * 3
+    kept, kept_bruhat = {}, []
+    for length in range(3, 10):
+        w = system.element(word[:length])
+        assert w.length == length
+        kl_polynomial(system, system.identity, w)
+        tab = system._tabs[()]
+        assert all(tab["kl"][g] is col for g, col in kept.items())
+        assert tab["bruhat"][:len(kept_bruhat)] == kept_bruhat
+        kept = dict(tab["kl"])
+        kept_bruhat = tab["bruhat"][:]
+    levels = [level for before, after in walked for level in range(before, after)]
+    assert levels == list(range(9))
+    monkeypatch.undo()
+    fresh = CoxeterSystem(aff.gcm, labels=aff.labels)
+    table = kl_table(fresh, max_length=9)
+    for length in range(3, 10):
+        w = system.element(word[:length])
+        assert kl_polynomial(system, system.identity, w) == table[((), w.word_labels)]

@@ -1,12 +1,16 @@
 """Tests for composition multiplicities, inverses, and graded partitions."""
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from weylkl.rootdata import RationalCoweight, build_root_datum
-from weylkl.coxeter import bruhat_leq
+from weylkl.coxeter import bruhat_leq, longest_element, multiply
 from weylkl.endoscopy import stratify
+from weylkl.kl import kl_polynomial
 from weylkl.multiplicity import (
     graded_partition_polynomial,
     graded_partition_series,
@@ -151,3 +155,35 @@ def test_verma_weight_dimension_is_partition_count():
                 if matrix[i][j]:
                     total += matrix[i][j] * simple_weight_multiplicity(strat, y, nu)
             assert total == verma_dim, (w.word_labels, nu)
+
+
+# -- the parabolic engine against the full group --------------------------------
+
+
+SMALL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "small_pool.json"
+
+
+def _full_group_matrix(strat):
+    """[P_{x w_J, y w_J}(1)] from the J = () table of the whole group."""
+    system = strat.system
+    wj = longest_element(system, strat.singular)
+    shifted = [multiply(w, wj) for w in strat.index_set]
+    return [[sum(kl_polynomial(system, x, y)) for y in shifted] for x in shifted]
+
+
+def test_parabolic_matrices_match_the_full_group_on_the_small_pool():
+    pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+    rng = random.Random("parabolic reference")
+    singular = 0
+    for entry in rng.sample(pool, 200):
+        datum = build_root_datum(entry["type"], entry["rank"])
+        strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
+        singular += bool(strat.singular)
+        assert multiplicity_matrix(strat) == _full_group_matrix(strat), entry
+    assert singular >= 40
+
+
+def test_parabolic_matrix_matches_the_full_group_on_a_b4_near_regular_block():
+    strat = stratify(build_root_datum("B", 4), RationalCoweight((2, 3, 1, 1), 1))
+    assert len(strat.index_set) == 96 and strat.singular
+    assert multiplicity_matrix(strat) == _full_group_matrix(strat)
