@@ -121,8 +121,7 @@ def _root_gram(datum: RootDatum):
     """Symmetrized Cartan matrix in integers: entries proportional to
     (alpha_i, alpha_j), and the highest root's squared length in its scale."""
     d = _symmetrizer(datum.cartan_matrix)
-    scale = math.lcm(*(x.denominator for x in d))
-    gram = tuple(tuple(int(d[i] * scale) * a for a in row)
+    gram = tuple(tuple(d[i] * a for a in row)
                  for i, row in enumerate(datum.cartan_matrix))
     return gram, _root_norm(gram, datum.highest_root)
 
@@ -188,15 +187,10 @@ def _left_null_marks(gcm, positions):
     basis = kernel_basis([[gcm[i][j] for i in idx] for j in idx])
     if len(basis) != 1:
         raise ValueError("component does not have a one-dimensional null space")
-    sol = basis[0]
-    denom = math.lcm(*(c.denominator for c in sol))
-    ints = [int(c * denom) for c in sol]
-    if all(c < 0 for c in ints):
-        ints = [-c for c in ints]
-    if not all(c > 0 for c in ints):
+    marks = basis[0]
+    if not all(c > 0 for c in marks):
         raise ValueError("null marks of an affine component must be positive")
-    g = math.gcd(*ints)
-    return {pos: mark // g for pos, mark in zip(idx, ints)}
+    return dict(zip(idx, marks))
 
 
 # ---------------------------------------------------------------------------

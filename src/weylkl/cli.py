@@ -19,6 +19,7 @@ from .rootdata import RationalCoweight, RootDatum, build_root_datum
 from .coxeter import _ENUM_LIMIT, CoxeterSystem, parabolic_quotient, weyl_system
 from .kl import (
     KLFileCache,
+    _table_order,
     file_cache_from_env,
     format_kl_table,
     kl_polynomial,
@@ -75,6 +76,14 @@ def _parse_word(system: CoxeterSystem, text):
         return system.identity
     labels = _parse_int_vector(text, "a reduced word")
     return system.element(labels)
+
+
+def _parse_alpha(text, rank_):
+    """A finite degree ``c1,…,cr`` from ``--alpha``."""
+    alpha = _parse_int_vector(text, "--alpha")
+    if len(alpha) != rank_:
+        raise ValueError(f"--alpha must have {rank_} entries")
+    return alpha
 
 
 def _parse_degree(text, rank_):
@@ -198,11 +207,8 @@ def _cmd_kl(args) -> str:
         if args.format == "json":
             payload = {"pairs": [
                 {"y": _labels_text(y), "w": _labels_text(w),
-                 "coefficients": list(coeffs)}
-                for (y, w), coeffs in sorted(
-                    table.items(),
-                    key=lambda kv: (len(kv[0][1]), kv[0][1],
-                                    len(kv[0][0]), kv[0][0]))]}
+                 "coefficients": list(table[y, w])}
+                for y, w in sorted(table, key=_table_order)]}
             return json.dumps(payload, indent=2, sort_keys=True)
         return format_kl_table(table)
     if args.y is None or args.w is None:
@@ -256,9 +262,7 @@ def _cmd_endoscopy(args) -> str:
 def _cmd_strata(args) -> str:
     datum, strat = _stratification(args)
     if args.alpha is not None:
-        alpha = _parse_int_vector(args.alpha, "--alpha")
-        if len(alpha) != datum.rank:
-            raise ValueError(f"--alpha must have {datum.rank} entries")
+        alpha = _parse_alpha(args.alpha, datum.rank)
         chosen = strata_for_degree(strat, alpha)
         header = f"strata of degree below {tuple(alpha)}"
     else:
@@ -300,9 +304,7 @@ def _cmd_character(args) -> str:
     y = (_parse_word(strat.system, args.w) if args.w is not None
          else strat.minimal_mover)
     if args.alpha is not None:
-        alpha = _parse_int_vector(args.alpha, "--alpha")
-        if len(alpha) != datum.rank:
-            raise ValueError(f"--alpha must have {datum.rank} entries")
+        alpha = _parse_alpha(args.alpha, datum.rank)
         hw_index = strat.index_set.index(y) if y in strat.index_set else None
         if hw_index is None:
             raise ValueError("--w must be an index-set element")

@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .linalg import leading_pivots
+from .linalg import eliminate, kernel_basis
 from .rootdata import RootDatum, build_root_datum, pairing, reflect, translation_length
 
 __all__ = [
@@ -145,31 +146,21 @@ class CoxeterSystem:
         """'finite', 'affine' (a product of finite/affine parts), or 'indefinite'."""
         if self._kind is not None:
             return self._kind
-        if self.rank == 0:
-            self._kind = "finite"
-            return self._kind
         kinds = set()
         for comp in self._components():
             sub = [[self.gcm[i][j] for j in comp] for i in comp]
             d = _symmetrizer(sub)
-            gram = [[d[i] * sub[i][j] for j in range(len(comp))] for i in range(len(comp))]
-            # pivot k = minor_k / minor_{k-1}; the list stops short when a
-            # minor before the last one is 0, which makes it indefinite
-            pivots = leading_pivots(gram)
-            head_positive = (len(pivots) == len(comp)
-                             and all(p > 0 for p in pivots[:-1]))
-            if head_positive and pivots[-1] > 0:
+            # positive definite, or positive semidefinite of corank one with
+            # every proper leading block definite (an affine component)
+            minors = _leading_minors([[d[i] * a for a in row] for i, row in enumerate(sub)])
+            if all(m > 0 for m in minors):
                 kinds.add("finite")
-            elif head_positive and pivots[-1] == 0:
+            elif all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
                 kinds.add("affine")
             else:
                 kinds.add("indefinite")
-        if kinds == {"finite"}:
-            self._kind = "finite"
-        elif "indefinite" in kinds:
-            self._kind = "indefinite"
-        else:
-            self._kind = "affine"
+        self._kind = ("finite" if kinds <= {"finite"}
+                      else "indefinite" if "indefinite" in kinds else "affine")
         return self._kind
 
     @property
@@ -356,24 +347,29 @@ class CoxeterSystem:
 
 
 def _symmetrizer(gcm):
+    """The primitive positive integers d_i that make d_i * gcm[i][j]
+    symmetric, for an indecomposable Cartan matrix: the kernel of the
+    equations d_i * gcm[i][j] = d_j * gcm[j][i]."""
     n = len(gcm)
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and gcm[i][j] != 0:
-                    val = d[i] * Fraction(gcm[i][j], gcm[j][i])
-                    if d[j] is None:
-                        d[j] = val
-                        stack.append(j)
-                    elif d[j] != val:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-    return d
+    equations = [[0] * n]  # keeps the column count when there is one node
+    for i, j in combinations(range(n), 2):
+        if gcm[i][j]:
+            row = [0] * n
+            row[i], row[j] = gcm[i][j], -gcm[j][i]
+            equations.append(row)
+    basis = kernel_basis(equations)
+    if len(basis) != 1:
+        raise ValueError("Cartan matrix is not symmetrizable")
+    return basis[0]
+
+
+def _leading_minors(gram):
+    """D_1, ..., D_n: the determinants of the leading principal blocks."""
+    minors = []
+    for k in range(1, len(gram) + 1):
+        _, pivots, d = eliminate([row[:k] for row in gram[:k]])
+        minors.append(d if len(pivots) == k else 0)
+    return minors
 
 
 @dataclass(frozen=True)

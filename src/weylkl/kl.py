@@ -235,10 +235,15 @@ def _word_text(word_labels):
     return ",".join(str(lab) for lab in word_labels) if word_labels else "-"
 
 
+def _table_order(pair):
+    """Sort key of a :func:`kl_table` pair (y, w): by w, then y, shorter first."""
+    return len(pair[1]), pair[1], len(pair[0]), pair[0]
+
+
 def format_kl_table(table) -> str:
     """Deterministic text rendering of a :func:`kl_table` result."""
     lines = []
-    for (yw, ww) in sorted(table, key=lambda k: (len(k[1]), k[1], len(k[0]), k[0])):
+    for (yw, ww) in sorted(table, key=_table_order):
         coeffs = ",".join(str(c) for c in table[(yw, ww)])
         lines.append(f"{_word_text(yw)} | {_word_text(ww)} | {coeffs}")
     return "\n".join(lines) + "\n"

@@ -1,101 +1,105 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra in integers.
 
-Matrices are lists of lists (rows) of ``Fraction``/``int``; nothing here is
-numerical.  Only the handful of routines the rest of the package needs:
-row reduction, rank, kernel basis, the inverse of an upper unitriangular
-matrix, and the pivots that give the signs of the leading principal minors.
+Matrices are lists of rows of ``int``/``Fraction``; nothing here is
+numerical.  All elimination is one routine, :func:`eliminate`:
+fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on integer rows,
+each update dividing exactly by the previous pivot.  Reduced row echelon
+form, rank, kernels and determinants are read off it; the only other loop
+is the back substitution inverting upper unitriangular matrices.
 
 >>> rank([[1, 2], [2, 4]])
 1
->>> leading_pivots([[2, -1], [-1, 2]])
-[Fraction(2, 1), Fraction(3, 2)]
+>>> eliminate([[2, -1], [-1, 2]])
+([[3, 0], [0, 3]], [0, 1], 3)
+>>> kernel_basis([[2, -4, 6]])
+[[2, 1, 0], [-3, 0, 1]]
 >>> invert_unitriangular([[1, 3], [0, 1]])
 [[1, -3], [0, 1]]
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
+    "eliminate",
     "rank",
     "kernel_basis",
     "invert_unitriangular",
     "rref",
-    "leading_pivots",
 ]
 
 
-def _copy(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def eliminate(mat):
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivots, d).
+
+    ``rows`` are integer rows in which every pivot column is zero except
+    for the common pivot ``d`` in its own row, ``pivots`` are the pivot
+    columns, and rows/d is the reduced row echelon form.  Where a pivot
+    has to come from a lower row, that row is added rather than swapped
+    in, so for a square matrix of full rank ``d`` is its determinant.
+    """
+    rows = []
+    for row in mat:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    d = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        k = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r] = [a + b for a, b in zip(rows[r], rows[k])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i == r or (not f and p == d):
+                continue
+            new = [p * a - f * b for a, b in zip(row, top)]
+            if any(x % d for x in new):
+                raise AssertionError("a fraction-free update must divide exactly")
+            rows[i] = [x // d for x in new]
+        pivots.append(c)
+        d = p
+    return rows, pivots, d
 
 
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = _copy(mat)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
-def leading_pivots(mat):
-    """Pivots of elimination without row exchanges, up to the first zero one.
-
-    While the leading principal minors D_1, ..., D_{k-1} are nonzero, pivot
-    k is D_k / D_{k-1}.  The list stops after the first zero pivot, so it is
-    shorter than the matrix exactly when a minor other than the last is 0.
-    """
-    rows = _copy(mat)
-    pivots = []
-    for c in range(len(rows)):
-        pivot = rows[c][c]
-        pivots.append(pivot)
-        if pivot == 0:
-            break
-        for r in range(c + 1, len(rows)):
-            factor = rows[r][c] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
-    return pivots
+    rows, pivots, d = eliminate(mat)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
 def rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
+    return len(eliminate(mat)[1])
 
 
 def kernel_basis(mat):
-    """Basis of the right kernel {v : mat @ v = 0}, as a list of vectors."""
+    """Basis of the right kernel {v : mat @ v = 0}, one vector per free column.
+
+    Each vector is primitive in integers, positive at its free column and
+    zero at the other free columns.
+    """
     if not mat:
         return []
-    n_cols = len(mat[0])
-    rows, pivots = rref(mat)
-    free = [c for c in range(n_cols) if c not in pivots]
+    rows, pivots, d = eliminate(mat)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
+    for f in range(len(rows[0])):
+        if f not in pivots:
+            vec = [0] * len(rows[0])
+            vec[f] = d
+            for r, p in enumerate(pivots):
+                vec[p] = -rows[r][f]
+            g = math.gcd(*vec) if d > 0 else -math.gcd(*vec)
+            basis.append([x // g for x in vec])
     return basis
 
 

@@ -23,7 +23,7 @@ re-verified weight by weight.  Everything is exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .rootdata import RootDatum, RationalCoweight, pairing
@@ -70,6 +70,8 @@ class VermaModel:
         self._h_cols = tuple(
             tuple(a[j][i] for j in range(datum.rank))
             for i in range(datum.rank))
+        self._words_memo = {}
+        self._contents_memo = {}
         self._raise_memo = {}
         self._form_memo = {}
         self._quotient_memo = {}
@@ -77,18 +79,16 @@ class VermaModel:
 
     # -- word combinatorics ------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def _words(self, beta):
         """All lowering words (tuples of 0-based generator indices) of
         content ``beta``, lexicographically ordered."""
-        if not any(beta):
-            return ((),)
-        out = []
-        for i, b in enumerate(beta):
-            if b > 0:
-                rest = tuple(b - (k == i) for k, b in enumerate(beta))
-                out.extend((i,) + w for w in self._words(rest))
-        return tuple(out)
+        out = self._words_memo.get(beta)
+        if out is None:
+            out = ((),) if not any(beta) else tuple(
+                (i,) + w for i, b in enumerate(beta) if b > 0
+                for w in self._words(tuple(c - (k == i) for k, c in enumerate(beta))))
+            self._words_memo[beta] = out
+        return out
 
     def _scalar(self, i, mu):
         return sum(m * c for m, c in zip(mu, self._h_cols[i]))
@@ -184,14 +184,11 @@ class VermaModel:
                 right = tuple(r - l for r, l in zip(remaining, left))
                 for u in self._words(left):
                     for w in self._words(right):
-                        row = [Fraction(0)] * len(words)
+                        row = [0] * len(words)
                         for mid, coeff in combo.items():
                             row[index[u + mid + w]] += coeff
                         relations.append(row)
-        if relations:
-            rows, pivots = rref(relations)
-        else:
-            rows, pivots = [], []
+        rows, pivots = rref(relations)
         basis = tuple(k for k in range(len(words)) if k not in pivots)
         expected = _partition_count(self.datum, beta)
         if len(basis) != expected:
@@ -217,13 +214,13 @@ class VermaModel:
         self._quotient_memo[beta] = out
         return out
 
-    @lru_cache(maxsize=None)
     def _all_contents(self, bound):
         """All nonnegative integer vectors coordinatewise at most ``bound``."""
-        out = [()]
-        for b in bound:
-            out = [v + (c,) for v in out for c in range(b + 1)]
-        return tuple(out)
+        out = self._contents_memo.get(bound)
+        if out is None:
+            out = tuple(product(*(range(b + 1) for b in bound)))
+            self._contents_memo[bound] = out
+        return out
 
     def weight_dimension(self, beta) -> int:
         """Dimension of the Verma weight space at ``hw - beta``."""

@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from weylkl.affine import _left_null_marks
 from weylkl.rootdata import build_root_datum, translation_length
 from weylkl.coxeter import (
     CoxeterSystem,
@@ -67,7 +68,24 @@ FINITE_TYPES_UP_TO_RANK_8 = (
 def test_kind_of_every_finite_type_and_its_affinization(letter, rank):
     datum = build_root_datum(letter, rank)
     assert CoxeterSystem(datum.cartan_matrix).kind == "finite"
-    assert CoxeterSystem(affinization(datum).gcm).kind == "affine"
+    gcm = affinization(datum).gcm
+    assert CoxeterSystem(gcm).kind == "affine"
+    # the minimal imaginary coroot is alpha_0^vee + theta^vee
+    marks = {i + 1: c for i, c in enumerate(datum.highest_root_coroot)}
+    assert _left_null_marks(gcm, range(rank + 1)) == {0: 1, **marks}
+
+
+def test_twisted_affine_kind_and_null_marks():
+    # A_2^(2): 2 alpha_0^vee + alpha_1^vee pairs to zero with both roots
+    gcm = [[2, -1], [-4, 2]]
+    assert CoxeterSystem(gcm).kind == "affine"
+    assert _left_null_marks(gcm, {0, 1}) == {0: 2, 1: 1}
+
+
+def test_non_symmetrizable_cartan_matrix_is_refused():
+    system = CoxeterSystem([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+    with pytest.raises(ValueError, match="Cartan matrix is not symmetrizable"):
+        system.kind
 
 
 @pytest.mark.parametrize("gcm", [

@@ -1,5 +1,6 @@
 """Tests for the brute-force Verma-module oracle."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,14 @@ def test_oracle_matches_kl_small():
         kl = [list(map(int, row))
               for row in multiplicity_matrix(stratify(datum, lam))]
         assert oracle == kl, (letter, rank_, mu, n)
+
+
+def test_oracle_keeps_no_verma_model_alive():
+    for datum, lam in ((A1, RationalCoweight((1,), 1)), (A1, RationalCoweight((2,), 1)),
+                       (A1, RationalCoweight((3,), 1)), (A2, RationalCoweight((1, 1), 2))):
+        oracle_multiplicity_matrix(datum, lam)
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, VermaModel)]
 
 
 def test_oracle_sl2_values():
