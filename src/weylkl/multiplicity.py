@@ -15,7 +15,12 @@ itself is the graded (layer-by-layer) version of the multiplicity.
 Graded partition counts for character manipulations live here as well: the
 q-coefficient of a partition count records the number of parts, so that
 summing ``K_alpha(q) e^alpha`` reproduces the product of geometric series
-``1/(1 - q e^beta)`` over the relevant positive vectors.
+``1/(1 - q e^beta)`` over the relevant positive vectors.  A weight
+multiplicity of a simple module is an alternating sum of such counts; its
+total dimension needs only heights: the Verma with highest weight
+``w(lam') - rho`` contributes the number of multisets of positive coroots of
+total height at most ``depth - ht(lam' - w(lam'))``, one integer per index
+element.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import CoxeterElement, _positions, longest_element
-from .endoscopy import Stratification, coweight_orbit_action, orbit_walk
+from .coxeter import CoxeterElement, _positions
+from .endoscopy import Stratification, orbit_walk
 from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
 
@@ -160,16 +165,6 @@ def _require_full_integrality(strat: Stratification):
             "with every positive root")
 
 
-def _alternating_weight_dimension(coeffs, weights, coroots, nu):
-    total = 0
-    for coeff, hw in zip(coeffs, weights):
-        if coeff == 0:
-            continue
-        gap = tuple(h - x for h, x in zip(hw, nu))
-        total += coeff * sum(graded_partition_polynomial(coroots, gap))
-    return total
-
-
 def _inverse_row(strat, y):
     try:
         row = strat.index_set.index(y)
@@ -191,42 +186,73 @@ def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu) -> 
     weights = index_highest_weights(strat)
     coroots = strat.datum.positive_coroots
     nu = tuple(Fraction(x) for x in nu)
-    return _alternating_weight_dimension(coeffs, weights, coroots, nu)
+    total = 0
+    for coeff, hw in zip(coeffs, weights):
+        if coeff:
+            gap = tuple(h - x for h, x in zip(hw, nu))
+            total += coeff * sum(graded_partition_polynomial(coroots, gap))
+    return total
+
+
+def _height_counts(coroots, depth):
+    """N(0..depth): N(h) counts the multisets of ``coroots`` of total height
+    at most h, the prefix sums of prod 1/(1 - t^ht) over the coroots."""
+    counts = [1] + [0] * depth
+    for coroot in coroots:
+        height = sum(coroot)
+        for k in range(height, depth + 1):
+            counts[k] += counts[k - height]
+    for k in range(1, depth + 1):
+        counts[k] += counts[k - 1]
+    return counts
 
 
 def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> int:
     """Total dimension of the simple module with highest weight y(lam') - rho.
 
-    Finite for dominant data; computed weight space by weight space over the
-    cone below the highest weight, bounded by the lowest weight in the
-    subgroup orbit.
+    ``y`` defaults to the minimal mover.  The module can be finite
+    dimensional only when y(lam') is dominant, which in the index set means
+    y = e; any other y raises ``ValueError``, as do a block that does not
+    pair integrally with every root and a negative depth.
+
+    With A the inverse-matrix row of e, the module's character is
+    sum_w A_w ch M(w(lam') - rho).  Summed over the weights above the lowest
+    one, w0(lam' - rho), the Verma with highest weight w(lam') - rho
+    contributes N(depth - ht(lam' - w(lam'))), where
+    depth = ht(lam' - w0(lam')) - 2 ht(rho) is the height of the whole weight
+    cone and N(h) counts the multisets of positive coroots of total height at
+    most h (N(h) = 0 for h < 0).  So, in integers,
+
+        dim = sum_w A_w N(depth - ht(lam' - w(lam'))).
+
+    This is Weyl's dimension formula for regular lam'.  For singular lam'
+    the module L(lam' - rho) is infinite dimensional, and the value is the
+    same alternating sum truncated at that depth, not a dimension.
+
+    >>> from weylkl.rootdata import build_root_datum, RationalCoweight
+    >>> from weylkl.endoscopy import stratify
+    >>> simple_module_dimension(stratify(build_root_datum("A", 2),
+    ...                                  RationalCoweight((2, 2), 1)))
+    8
     """
     _require_full_integrality(strat)
     if y is None:
         y = strat.minimal_mover
     coeffs = _inverse_row(strat, y)
-    weights = index_highest_weights(strat)
-    hw = weights[strat.index_set.index(y)]
-    w0 = longest_element(strat.system)
-    lowest = coweight_orbit_action(strat, w0, hw)
-    depth = sum(h - l for h, l in zip(hw, lowest))
-    if depth < 0 or Fraction(depth).denominator != 1:
+    if not y.is_identity:  # the one index element with y(lam') dominant
         raise ValueError("the requested simple module is not finite dimensional")
-    depth = int(depth)
+    top = strat.lambda_prime
+    drops = []
+    for _word, point in orbit_walk(strat.datum, strat.simple_roots,
+                                   strat.simple_coroots, top):
+        drop = sum(t - p for t, p in zip(top, point))
+        if drop < 0 or drop.denominator != 1:
+            raise AssertionError("index weights must lie below the top weight")
+        drops.append(int(drop))
     coroots = strat.datum.positive_coroots
-
-    total = 0
-    seen = set()
-    stack = [tuple(hw)]
-    while stack:
-        nu = stack.pop()
-        if nu in seen:
-            continue
-        seen.add(nu)
-        gap = sum(h - x for h, x in zip(hw, nu))
-        if gap > depth:
-            continue
-        total += _alternating_weight_dimension(coeffs, weights, coroots, nu)
-        for vee in coroots:
-            stack.append(tuple(x - v for x, v in zip(nu, vee)))
-    return total
+    depth = drops[-1] - sum(map(sum, coroots))
+    if depth < 0:
+        raise ValueError("the requested simple module is not finite dimensional")
+    counts = _height_counts(coroots, depth)
+    return sum(coeff * counts[depth - drop]
+               for coeff, drop in zip(coeffs, drops) if coeff and drop <= depth)

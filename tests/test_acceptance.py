@@ -168,6 +168,14 @@ def test_criterion_5_finite_dimensional_characters(capfd):
         assert simple_module_dimension(rho_strat) == 1
         shifted = stratify(datum, RationalCoweight((5, 4), 3))
         assert simple_module_dimension(shifted) == 3
+        # Weyl's formula at 2 rho: prod <2 rho, alpha>/<rho, alpha> = 2^|Phi+|;
+        # test_multiplicity.py checks the formula on seeded regular weights
+        for letter, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                             ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
+            datum = build_root_datum(letter, rank)
+            twice_rho = RationalCoweight(tuple(int(2 * r) for r in datum.rho), 1)
+            assert simple_module_dimension(stratify(datum, twice_rho)) == \
+                2 ** len(datum.positive_roots), (letter, rank)
 
 
 # -- 6 ---------------------------------------------------------------------

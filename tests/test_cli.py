@@ -204,6 +204,11 @@ def test_character_series_and_simple_modules(capsys):
                        "--lambda", "2,2/1", "--w", "e", "--alpha", "1,1",
                        "--format", "json")
     assert json.loads(out)["multiplicity"] == 2
+    # y = s1 moves lam' off the dominant chamber: an infinite-dimensional module
+    code, out, err = run(capsys, "character", "--type", "A", "--rank", "2",
+                         "--lambda", "3,3/1", "--w", "1")
+    assert code == 1 and out == ""
+    assert "not finite dimensional" in err
 
 
 def test_affine_positive_level(capsys):

@@ -2,14 +2,15 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from weylkl.rootdata import RationalCoweight, build_root_datum
+from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.coxeter import bruhat_leq, longest_element, multiply
-from weylkl.endoscopy import stratify
+from weylkl.endoscopy import coweight_orbit_action, stratify
 from weylkl.kl import kl_polynomial
 from weylkl.multiplicity import (
     graded_partition_polynomial,
@@ -25,6 +26,7 @@ from weylkl.multiplicity import (
 
 A2 = build_root_datum("A", 2)
 B2 = build_root_datum("B", 2)
+SMALL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "small_pool.json"
 
 
 def test_regular_integral_a2_matrix_is_bruhat_indicator():
@@ -101,6 +103,137 @@ def test_dimensions_via_alternating_sums():
     assert simple_module_dimension(strat) == 4
 
 
+def test_dimension_refuses_a_module_that_is_not_finite_dimensional():
+    # y(lam') is dominant only for y = e, so L(y(lam') - rho) is infinite
+    # dimensional for every other index element
+    for datum, lam, word in [(A2, (3, 3), (1,)),
+                             (build_root_datum("A", 3), (2, 3, 2), (2,))]:
+        strat = stratify(datum, RationalCoweight(lam, 1))
+        y = strat.system.element(word)
+        assert y in strat.index_set
+        with pytest.raises(ValueError, match="not finite dimensional"):
+            simple_module_dimension(strat, y)
+    # the default y is the minimal mover, here w0
+    with pytest.raises(ValueError, match="not finite dimensional"):
+        simple_module_dimension(stratify(A2, RationalCoweight((-3, -3), 1)))
+    sing = stratify(A2, RationalCoweight((2, 1), 3))
+    with pytest.raises(ValueError, match="index-set element"):
+        simple_module_dimension(sing, sing.system.element((1, 2, 1)))
+    with pytest.raises(ValueError, match="pairing integrally"):
+        simple_module_dimension(stratify(A2, RationalCoweight((1, 1), 2)))
+    # lam' = 0: the weight cone has negative depth
+    with pytest.raises(ValueError, match="not finite dimensional"):
+        simple_module_dimension(stratify(A2, RationalCoweight((0, 0), 1)))
+
+
+def _weyl_dimension(datum, lam):
+    """prod <alpha, lam> / <alpha, rho> over the positive roots."""
+    out = Fraction(1)
+    for alpha in datum.positive_roots:
+        out *= pairing(datum, alpha, lam) / pairing(datum, alpha, datum.rho)
+    return out
+
+
+WEYL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+              ("C", 3), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("letter,rank", WEYL_TYPES)
+def test_dimension_is_weyls_formula_on_regular_dominant_weights(letter, rank):
+    datum = build_root_datum(letter, rank)
+    rng = random.Random(f"weyl dimension {letter}{rank}")
+    checked = 0
+    while checked < 4:
+        strat = stratify(datum, RationalCoweight(
+            tuple(rng.randint(-3, 3) for _ in range(rank)), 1))
+        if strat.singular:
+            continue
+        expected = _weyl_dimension(datum, strat.lambda_prime)
+        assert simple_module_dimension(strat, strat.index_set[0]) == expected
+        checked += 1
+
+
+def test_dimension_of_twice_rho_on_d4_is_fast():
+    datum = build_root_datum("D", 4)
+    start = time.perf_counter()
+    strat = stratify(datum, RationalCoweight(tuple(int(2 * r) for r in datum.rho), 1))
+    assert simple_module_dimension(strat) == 4096 == _weyl_dimension(datum, strat.lambda_prime)
+    assert time.perf_counter() - start < 5
+
+
+def _cone_walk_dimension(strat):
+    """The weight-by-weight sum over the cone below the top weight, bounded
+    by the lowest weight w0(lam' - rho): the reference for the height-count
+    formula of :func:`simple_module_dimension` (y = e)."""
+    if len(strat.integral_indices) != len(strat.datum.positive_roots):
+        raise ValueError(
+            "weight-multiplicity sums require a coweight pairing integrally "
+            "with every positive root")
+    coeffs = inverse_multiplicity_matrix(strat)[0]
+    weights = index_highest_weights(strat)
+    hw = weights[0]
+    lowest = coweight_orbit_action(strat, longest_element(strat.system), hw)
+    depth = sum(h - low for h, low in zip(hw, lowest))
+    if depth < 0 or Fraction(depth).denominator != 1:
+        raise ValueError("the requested simple module is not finite dimensional")
+    coroots = strat.datum.positive_coroots
+    total = 0
+    seen = set()
+    stack = [tuple(hw)]
+    while stack:
+        nu = stack.pop()
+        if nu in seen:
+            continue
+        seen.add(nu)
+        if sum(h - x for h, x in zip(hw, nu)) > depth:
+            continue
+        for coeff, top in zip(coeffs, weights):
+            if coeff:
+                gap = tuple(t - x for t, x in zip(top, nu))
+                total += coeff * sum(graded_partition_polynomial(coroots, gap))
+        for vee in coroots:
+            stack.append(tuple(x - v for x, v in zip(nu, vee)))
+    return total
+
+
+def _outcome(function, strat):
+    try:
+        return function(strat)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_dimension_matches_the_cone_walk_on_seeded_blocks():
+    rng = random.Random("cone walk")
+    types = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+    kinds = {"value": 0, "singular": 0, "refused": 0}
+    for k in range(140):
+        letter, rank = types[k % len(types)]
+        n = rng.randint(1, 3)
+        scale = n if k % 2 else 1
+        mu = tuple(scale * rng.randint(-2, 2) for _ in range(rank))
+        strat = stratify(build_root_datum(letter, rank), RationalCoweight(mu, n))
+        expected = _outcome(_cone_walk_dimension, strat)
+        got = _outcome(lambda s: simple_module_dimension(s, s.index_set[0]), strat)
+        assert got == expected, (letter, rank, mu, n)
+        if isinstance(got, str):
+            kinds["refused"] += 1
+        else:
+            kinds["singular" if strat.singular else "value"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_dimension_matches_the_small_pool_and_the_cone_walk():
+    pool = [entry for entry in json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+            if "dimension" in entry]
+    assert len(pool) == 79
+    for entry in pool:
+        datum = build_root_datum(entry["type"], entry["rank"])
+        strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
+        got = simple_module_dimension(strat, strat.index_set[0])
+        assert got == entry["dimension"] == _cone_walk_dimension(strat), entry
+
+
 def test_weight_multiplicities_adjoint():
     strat = stratify(A2, RationalCoweight((2, 2), 1))
     y = strat.minimal_mover
@@ -158,9 +291,6 @@ def test_verma_weight_dimension_is_partition_count():
 
 
 # -- the parabolic engine against the full group --------------------------------
-
-
-SMALL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "small_pool.json"
 
 
 def _full_group_matrix(strat):
