@@ -17,8 +17,8 @@ affine elements all go through it.
 Parabolic quotients W^J (J = () gives W) of finite systems, and
 length-bounded balls of affine ones, are walked lazily into tables along
 the orbit of rho_J, one table per J, with left products, canonical words
-and Bruhat columns; once the table of a finite W is complete, canonical
-words are read from it in O(length).
+and masks of left descents and stuck letters; once the table of a finite W
+is complete, canonical words are read from it in O(length).
 
 >>> system = weyl_system(build_root_datum("A", 2))
 >>> w0 = longest_element(system)
@@ -256,8 +256,10 @@ class CoxeterSystem:
         v_i * gcm[j][i].  At the point v of x, v_i > 0 makes s_i * x a longer
         element of W^J, v_i < 0 marks a left descent, and v_i = 0 is a stuck
         letter (s_i * x = x * s_j, s_j in W_J), recorded as lmult[x][i] = x.
-        Breadth first, so ids run in order of length; the last level is
-        kept, so a larger ``up_to`` extends a ball instead of rebuilding it.
+        desc[x] has bit i set when v_i <= 0: the left descents and stuck
+        letters of x.  Breadth first, so ids run in order of length; the
+        last level is kept, so a larger ``up_to`` extends a ball instead of
+        rebuilding it.
         """
         if up_to is None and not self.is_finite:
             raise ValueError("system is infinite; a length bound is required")
@@ -267,14 +269,15 @@ class CoxeterSystem:
             rho = tuple(int(i not in J) for i in range(n))
             tab = self._tabs[J] = {
                 "length": [0], "lmult": [[None] * n], "words": [()], "fld": [None],
-                "frontier": [(0, rho)], "complete": False, "max_len": 0, "size": 1,
-                "bruhat": [1]}  # only e <= e
+                "desc": [sum(1 << i for i in J)],
+                "frontier": [(0, rho)], "complete": False, "max_len": 0, "size": 1}
         if not (tab["complete"] or (up_to is not None and tab["max_len"] >= up_to)):
             self._walk(tab, up_to)
         return tab
 
     def _walk(self, tab, up_to):
         length, lmult, words, fld = tab["length"], tab["lmult"], tab["words"], tab["fld"]
+        desc = tab["desc"]
         gcm, n = self.gcm, self.rank
         frontier, cur_len = tab["frontier"], tab["max_len"]
         while frontier and (up_to is None or cur_len < up_to):
@@ -304,6 +307,7 @@ class CoxeterSystem:
                 a = next(i for i, vi in enumerate(point) if vi < 0)
                 fld.append(a)
                 words.append((a,) + words[lmult[g][a]])
+                desc.append(sum(1 << i for i, vi in enumerate(point) if vi <= 0))
             frontier = [(g, point) for point, g in nxt.items()]
             cur_len += 1
         tab.update(frontier=frontier, complete=not frontier, size=len(length),
@@ -321,29 +325,6 @@ class CoxeterSystem:
             if ident is None:
                 raise ValueError("element lies outside the enumerated ball")
         return ident
-
-    def _bruhat_columns(self, J=()):
-        """bruhat[w] = bitmask of {y : y <= w} over the table of W^J.
-
-        Works on complete tables and on length balls: an element on the ball
-        boundary has every smaller element of the ball available, which is
-        all the lifting recurrence consults (a stuck letter lifts y to y).
-        Columns are extended, never rebuilt, as the table grows.
-        """
-        tab = self._tabs.get(J) or self._ensure_tables(J=J)
-        length, lmult, fld = tab["length"], tab["lmult"], tab["fld"]
-        cols = tab["bruhat"]
-        for w in range(len(cols), tab["size"]):  # ids run in order of length
-            s = fld[w]
-            base = cols[lmult[w][s]]
-            out = 0
-            for y in range(w + 1):
-                sy = lmult[y][s]
-                lift = sy if sy is not None and length[sy] < length[y] else y
-                if (base >> lift) & 1:
-                    out |= 1 << y
-            cols.append(out)
-        return cols
 
 
 def _symmetrizer(gcm):

@@ -5,11 +5,15 @@ term first; the empty tuple is the zero polynomial.  One engine computes
 them: du Cloux's mu-list column fill (Experiment. Math. 11, 2002) on the
 table of a parabolic quotient W^J (:meth:`CoxeterSystem._ensure_tables`),
 column {y <= w} from the column of v = s*w and v's list of nonzero mu.
-J = () gives W (or an affine ball, extended as it grows) for
-:func:`kl_polynomial`, which fills only the lower Bruhat ideal of w, and
-:func:`kl_table`.  Otherwise a stuck letter s of x (s*x = x*s_j, s_j in
-W_J) reads as a descent with P_{sx,v} = P_{x,v}, giving Deodhar's
-parabolic polynomials for u = -1 (J. Algebra 111, 1987),
+No Bruhat structure is stored.  The ideal [e, w] is [e, v] together with
+s*[e, v] (the lifting property, Bjorner-Brenti, GTM 231, Prop. 2.2.7),
+and only extremal pairs are computed: P_{y,w} = P_{ty,w} for every left
+descent t of w with ty > y (Kazhdan-Lusztig, Invent. Math. 53, 1979,
+2.3.g), as in du Cloux's Coxeter3.  J = () gives W (or an affine ball,
+extended as it grows) for :func:`kl_polynomial`, which fills only the
+lower Bruhat ideal of w, and :func:`kl_table`.  Otherwise a stuck letter s
+of x (s*x = x*s_j, s_j in W_J) reads as a descent with P_{sx,v} = P_{x,v},
+giving Deodhar's parabolic polynomials for u = -1 (J. Algebra 111, 1987),
 P^J_{x,y} = P_{x w_J, y w_J}, which the multiplicity matrices read.
 Polynomials of the named systems can be kept in a text cache
 (:class:`KLFileCache`).
@@ -86,29 +90,26 @@ def poly_string(coeffs) -> str:
 _ONE = (1,)
 
 
-def _bits(mask):
-    """Positions of the set bits of ``mask``, highest first."""
-    text = bin(mask)
-    top = len(text) - 3
-    return [top - k for k, bit in enumerate(text[2:]) if bit == "1"]
-
-
 def _fill(system: CoxeterSystem, J, wids):
     """Fill the KL columns of the ids ``wids``, which must be a lower ideal.
 
     Column w maps each y <= w to P_{y,w}.  With s = fld[w] and v = s*w,
-    a y with sy < y, or with s stuck at y (which reads as sy = y), has
+    the ideal {y <= w} is the keys of v's column and their images under s
+    (a stuck letter maps y to y), walked down from the highest id, so in
+    non-increasing length.  A y with an ascent t that is a left descent
+    or a stuck letter of w (a left descent of w*w_J) has
+    P_{y,w} = P_{ty,w}, already filled; t is the lowest bit of
+    desc[w] & ~desc[y].  Any other y has sy < y, or s stuck at y (which
+    reads as sy = y), and
 
         P_{y,w} = P_{sy,v} + q P_{y,v}
                   - sum of mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
 
     over v's mu-list: the z < v with mu(z,v) != 0 and sz < z or s stuck
-    at z.  A y with sy > y has P_{y,w} = P_{sy,w}, filled first since y
-    runs down in length.  Each distinct polynomial is stored once.
+    at z.  Each distinct polynomial is stored once.
     """
     tab = system._tabs[J]
-    bruhat = system._bruhat_columns(J)
-    length, lmult, fld = tab["length"], tab["lmult"], tab["fld"]
+    length, lmult, fld, desc = tab["length"], tab["lmult"], tab["fld"], tab["desc"]
     kl = tab.setdefault("kl", {})
     mulists = tab.setdefault("mu", {})
     polys = tab.setdefault("polys", {_ONE: _ONE})
@@ -119,22 +120,22 @@ def _fill(system: CoxeterSystem, J, wids):
         if w == 0:
             kl[w], mulists[w] = col, []
             continue
-        s, lw = fld[w], length[w]
+        s, lw, dw = fld[w], length[w], desc[w]
         v = lmult[w][s]
         Pv = kl[v]
-        terms = []
-        for z, mu in mulists[v]:
-            sz = lmult[z][s]
-            if length[sz] <= length[z]:  # sz < z, or s stuck at z
-                terms.append((kl[z], mu, (lw - length[z]) // 2))
-        for y in _bits(bruhat[w])[1:]:
-            sy, ly = lmult[y][s], length[y]
-            if length[sy] > ly:
-                col[y] = col[sy]
+        terms = [(kl[z], mu, (lw - length[z]) // 2)  # sz < z, or s stuck at z
+                 for z, mu in mulists[v] if desc[z] >> s & 1]
+        ideal = set(Pv).union([lmult[y][s] for y in Pv])
+        for y in sorted(ideal, reverse=True)[1:]:  # w itself comes first
+            ascents = dw & ~desc[y]
+            if ascents:
+                col[y] = col[lmult[y][(ascents & -ascents).bit_length() - 1]]
                 continue
+            ly = length[y]
             if lw - ly <= 2:
                 col[y] = _ONE
                 continue
+            sy = lmult[y][s]
             Pyv = Pv.get(y)
             if Pyv is None:  # y is below neither v nor any z < v
                 col[y] = Pv[sy]
@@ -168,10 +169,14 @@ def _fill(system: CoxeterSystem, J, wids):
 
 def _kl_column(system: CoxeterSystem, w: CoxeterElement, J=()):
     """Column {id of y: P_{y,w}} of w in the table of W^J, filling only the
-    columns of the lower Bruhat ideal of w."""
-    system._ensure_tables(up_to=len(w.word), J=J)
-    wid = system._id_of(w, J)
-    return _fill(system, J, _bits(system._bruhat_columns(J)[wid]))[wid]
+    columns of the lower Bruhat ideal of w, built as I <- I | s*I along
+    w's word read right to left."""
+    lmult = system._ensure_tables(up_to=len(w.word), J=J)["lmult"]
+    ideal, wid = {0}, 0
+    for s in reversed(w.word):
+        ideal |= {lmult[y][s] for y in ideal}
+        wid = lmult[wid][s]
+    return _fill(system, J, ideal)[wid]
 
 
 def kl_polynomial(system: CoxeterSystem, y: CoxeterElement, w: CoxeterElement,

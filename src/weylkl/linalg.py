@@ -106,15 +106,16 @@ def kernel_basis(mat):
 def invert_unitriangular(mat):
     """Inverse of an upper unitriangular integer matrix, by back substitution.
 
-    Row i of the inverse is e_i minus mat[i][k] times row k, for k > i; any
-    other matrix raises ``ValueError``.
+    Row i of the inverse is e_i minus mat[i][k] times row k (zero left of
+    k), for k > i; any other matrix raises ``ValueError``.
     """
     n = len(mat)
     if any(len(row) != n or row[i] != 1 or any(row[:i]) for i, row in enumerate(mat)):
         raise ValueError("matrix is not upper unitriangular")
     inverse = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n - 2, -1, -1):
+        row = inverse[i]
         for k in range(i + 1, n):
             if mat[i][k]:
-                inverse[i] = [a - mat[i][k] * b for a, b in zip(inverse[i], inverse[k])]
+                row[k:] = [a - mat[i][k] * b for a, b in zip(row[k:], inverse[k][k:])]
     return inverse

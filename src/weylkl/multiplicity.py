@@ -165,13 +165,21 @@ def _require_full_integrality(strat: Stratification):
             "with every positive root")
 
 
-def _inverse_row(strat, y):
+def _index_position(strat, y):
     try:
-        row = strat.index_set.index(y)
+        return strat.index_set.index(y)
     except ValueError:
         raise ValueError("y must be an index-set element") from None
-    inverse = inverse_multiplicity_matrix(strat)
-    return inverse[row]
+
+
+def _inverse_row(strat, row):
+    """Row ``row`` of the inverse multiplicity matrix M^-1: the a with
+    a M = e_row, zero left of ``row``, solved forward in O(n^2)."""
+    mat = multiplicity_matrix(strat)
+    a = [int(j == row) for j in range(len(mat))]
+    for j in range(row + 1, len(mat)):
+        a[j] = -sum(a[k] * mat[k][j] for k in range(row, j))
+    return a
 
 
 def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu) -> int:
@@ -182,7 +190,7 @@ def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu) -> 
     positive coroots.
     """
     _require_full_integrality(strat)
-    coeffs = _inverse_row(strat, y)
+    coeffs = _inverse_row(strat, _index_position(strat, y))
     weights = index_highest_weights(strat)
     coroots = strat.datum.positive_coroots
     nu = tuple(Fraction(x) for x in nu)
@@ -238,9 +246,10 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
     _require_full_integrality(strat)
     if y is None:
         y = strat.minimal_mover
-    coeffs = _inverse_row(strat, y)
+    row = _index_position(strat, y)
     if not y.is_identity:  # the one index element with y(lam') dominant
         raise ValueError("the requested simple module is not finite dimensional")
+    coeffs = _inverse_row(strat, row)
     top = strat.lambda_prime
     drops = []
     for _word, point in orbit_walk(strat.datum, strat.simple_roots,

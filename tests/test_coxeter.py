@@ -26,6 +26,7 @@ from weylkl.coxeter import (
     translation_element,
     weyl_system,
 )
+from weylkl.kl import kl_table
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -37,6 +38,13 @@ G2 = build_root_datum("G", 2)
 def all_elements(system):
     tab = system._ensure_tables()
     return [system._element(tab["words"][g]) for g in range(tab["size"])]
+
+
+def kl_ideals(system):
+    """The key set {y <= w} of each filled KL column, by id of w."""
+    kl_table(system)
+    kl = system._tabs[()]["kl"]
+    return [set(kl[g]) for g in range(len(kl))]
 
 
 # -- classification -------------------------------------------------------
@@ -302,11 +310,11 @@ def test_bruhat_leq_matches_bruhat_columns_on_d4():
     # equal lengths are compared as elements: stripping letters off y's
     # canonical word need not leave a canonical word
     system = weyl_system(build_root_datum("D", 4))
-    cols = system._bruhat_columns()
+    ideals = kl_ideals(system)
     els = all_elements(system)
     for wid, w in enumerate(els):
         for yid, y in enumerate(els):
-            assert bool((cols[wid] >> yid) & 1) == bruhat_leq(y, w)
+            assert (yid in ideals[wid]) == bruhat_leq(y, w)
     y, w = system.element((2, 3, 2, 1)), system.element((3, 4, 2, 1, 3))
     assert bruhat_leq(y, w)
 
@@ -322,13 +330,13 @@ def test_bruhat_matches_subword_criterion(datum):
 
 def test_bruhat_columns_match_pairwise_tests():
     system = weyl_system(B2)
-    cols = system._bruhat_columns()
+    ideals = kl_ideals(system)
     tab = system._ensure_tables()
     for wid in range(tab["size"]):
         for yid in range(tab["size"]):
             y = system._element(tab["words"][yid])
             w = system._element(tab["words"][wid])
-            assert bool((cols[wid] >> yid) & 1) == bruhat_leq(y, w)
+            assert (yid in ideals[wid]) == bruhat_leq(y, w)
 
 
 def test_bruhat_on_affine_words():

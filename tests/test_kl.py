@@ -3,9 +3,14 @@
 import os
 import random
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import weylkl
 from weylkl.rootdata import build_root_datum
 from weylkl.coxeter import (
     CoxeterSystem,
@@ -193,7 +198,7 @@ def test_file_cache_from_env(tmp_path, monkeypatch):
 
 def test_growing_affine_queries_walk_each_level_once(monkeypatch):
     """P_{e,w} on A2~ for l(w) = 3..9 extends the ball one level at a time,
-    keeping the Bruhat and KL columns already computed."""
+    keeping the descent masks and KL columns already computed."""
     aff = affinization(build_root_datum("A", 2))
     system = CoxeterSystem(aff.gcm, labels=aff.labels)
     walked = []
@@ -206,16 +211,16 @@ def test_growing_affine_queries_walk_each_level_once(monkeypatch):
 
     monkeypatch.setattr(CoxeterSystem, "_walk", counting_walk)
     word = (0, 1, 2) * 3
-    kept, kept_bruhat = {}, []
+    kept, kept_desc = {}, []
     for length in range(3, 10):
         w = system.element(word[:length])
         assert w.length == length
         kl_polynomial(system, system.identity, w)
         tab = system._tabs[()]
         assert all(tab["kl"][g] is col for g, col in kept.items())
-        assert tab["bruhat"][:len(kept_bruhat)] == kept_bruhat
+        assert tab["desc"][:len(kept_desc)] == kept_desc
         kept = dict(tab["kl"])
-        kept_bruhat = tab["bruhat"][:]
+        kept_desc = tab["desc"][:]
     levels = [level for before, after in walked for level in range(before, after)]
     assert levels == list(range(9))
     monkeypatch.undo()
@@ -224,3 +229,44 @@ def test_growing_affine_queries_walk_each_level_once(monkeypatch):
     for length in range(3, 10):
         w = system.element(word[:length])
         assert kl_polynomial(system, system.identity, w) == table[((), w.word_labels)]
+
+
+def test_cold_e6_point_query_fills_only_the_ideal_of_w():
+    """A cold P_{e,w} with l(w) = 14 in E6 (|W| = 51,840) walks the ball up
+    to length 14 and fills exactly the columns of the y <= w in it."""
+    system = CoxeterSystem(build_root_datum("E", 6).cartan_matrix)
+    w = system.element((1, 3, 4, 3, 1, 5, 4, 2, 3, 1, 4, 6, 5, 4))
+    assert w.length == 14
+    start = time.perf_counter()
+    assert kl_polynomial(system, system.identity, w) == (1, 2, 2, 1)
+    assert time.perf_counter() - start < 10
+    tab = system._tabs[()]
+    below = {g for g in range(tab["size"])
+             if bruhat_leq(system._element(tab["words"][g]), w)}
+    assert set(tab["kl"]) == below
+
+
+_CORRUPT_MU = """
+import sys
+from weylkl.coxeter import CoxeterSystem
+from weylkl.kl import _fill
+from weylkl.rootdata import build_root_datum
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+system = CoxeterSystem(build_root_datum("B", 3).cartan_matrix)
+tab = system._ensure_tables()
+_fill(system, (), [g for g in range(tab["size"]) if tab["length"][g] <= 3])
+for entries in tab["mu"].values():
+    entries[:] = [(z, mu + 1) for z, mu in entries]
+_fill(system, (), range(tab["size"]))
+"""
+
+
+def test_corrupt_mu_list_raises_under_optimize():
+    """The fill's checks are raises, so a wrong mu-list entry is caught
+    even when asserts are compiled away."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylkl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_MU], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: KL" in proc.stderr

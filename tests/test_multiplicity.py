@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import weylkl.multiplicity
 from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.coxeter import bruhat_leq, longest_element, multiply
 from weylkl.endoscopy import coweight_orbit_action, stratify
 from weylkl.kl import kl_polynomial
 from weylkl.multiplicity import (
+    _inverse_row,
     graded_partition_polynomial,
     graded_partition_series,
     index_highest_weights,
@@ -64,6 +66,27 @@ def test_matrix_unitriangular_and_inverse():
             for j in range(size):
                 total = sum(matrix[i][k] * inverse[k][j] for k in range(size))
                 assert total == (1 if i == j else 0)
+
+
+def test_inverse_row_is_the_row_of_the_inverse():
+    """The forward solve of one row agrees with the whole inverse, row by
+    row, on a regular, a singular and a near-regular block."""
+    for datum, lam in [(A2, RationalCoweight((1, 1), 1)),
+                       (B2, RationalCoweight((3, 2), 2)),
+                       (build_root_datum("B", 4), RationalCoweight((2, 3, 1, 1), 1))]:
+        strat = stratify(datum, lam)
+        inverse = inverse_multiplicity_matrix(strat)
+        assert [_inverse_row(strat, k) for k in range(len(inverse))] == inverse
+
+
+def test_dimension_refuses_before_solving(monkeypatch):
+    def no_solve(strat, row):
+        raise AssertionError("solved a row for a refused module")
+
+    monkeypatch.setattr(weylkl.multiplicity, "_inverse_row", no_solve)
+    strat = stratify(A2, RationalCoweight((3, 3), 1))
+    with pytest.raises(ValueError, match="not finite dimensional"):
+        simple_module_dimension(strat, strat.system.element((1,)))
 
 
 def test_singular_block_multiplicities():
