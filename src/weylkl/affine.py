@@ -262,7 +262,7 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     # the finite-labelled roots come first; at critical level only they move
     active = len(finite) if level_class is LevelClass.CRITICAL else len(roots)
     finite_roots, shifts = [beta for beta, _m in roots], [m * k for _beta, m in roots]
-    lam_prime, mover = straighten(
+    lam_prime, mover, _zeros = straighten(
         datum, system, finite_roots[:active], finite_coroots[:active], vec,
         shifts=shifts[:active], sign=-1 if level_class is LevelClass.NEGATIVE else 1)
 

@@ -447,10 +447,9 @@ def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
     """
     tab = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))
     length, words = tab["length"], tab["words"]
-    out = [system._element(words[g]) for g in range(tab["size"])
-           if length_bound is None or length[g] <= length_bound]
-    out.sort(key=lambda w: (w.length, w.word))
-    return tuple(out)
+    ids = [g for g in range(tab["size"]) if length_bound is None or length[g] <= length_bound]
+    ids.sort(key=lambda g: (length[g], words[g]))
+    return tuple(system._element(words[g]) for g in ids)
 
 
 def _positions(system, labels):

@@ -17,6 +17,12 @@ This module computes:
   reads the same representatives off the orbit for the degree filters, the
   highest weights and the affine strata.
 
+The stratification runs on integer numerators, and only its outputs are
+Fractions: one straightening pass over the numerators ``mu`` of ``mu/n``
+(:func:`straighten`) gives ``lam'``, the minimal mover and the singular
+generators, the positions whose value vanishes at ``lam'``; the orbit walk
+moves numerators over one common denominator as well.
+
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
 >>> strat.system.size(), len(strat.index_set)
@@ -37,7 +43,6 @@ from .rootdata import (
     RationalCoweight,
     RootDatum,
     dominance_compare,
-    pairing,
     reflect_coweight_by_root,
 )
 
@@ -224,13 +229,22 @@ def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
 def _integer_point(datum: RootDatum, roots, vec, shifts):
     """The integer rows of ``roots`` (:func:`_integer_data`), one common
     denominator ``d`` of ``vec`` and ``shifts``, and their numerators over
-    ``d``: reflections then act on numerators alone."""
+    ``d``: reflections then act on numerators alone.  A
+    :class:`~weylkl.rootdata.RationalCoweight` ``mu/n`` gives its ``mu``
+    over ``n`` as it stands."""
     rows = [row for row, _ in _integer_data(datum, roots)]
-    vec = [Fraction(x) for x in vec]
-    shifts = [Fraction(0)] * len(rows) if shifts is None else [Fraction(s) for s in shifts]
-    d = math.lcm(*(x.denominator for x in vec + shifts))
-    return (rows, d, tuple(x.numerator * (d // x.denominator) for x in vec),
-            [s.numerator * (d // s.denominator) for s in shifts])
+    if isinstance(vec, RationalCoweight):
+        point, d = vec.mu, vec.n
+    else:
+        vec = [Fraction(x) for x in vec]
+        d = math.lcm(*(x.denominator for x in vec))
+        point = tuple(x.numerator * (d // x.denominator) for x in vec)
+    if shifts is None:
+        return rows, d, point, [0] * len(rows)
+    shifts = [Fraction(s) for s in shifts]
+    e = math.lcm(d, *(s.denominator for s in shifts))
+    return (rows, e, tuple(c * (e // d) for c in point),
+            [s.numerator * (e // s.denominator) for s in shifts])
 
 
 def _value(row, shift, point):
@@ -245,27 +259,68 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
 
     Repeatedly reflects by the first root i whose value
     ``sign * (<roots[i], vec> + shifts[i])`` is negative, recording i, until
-    no such root is left.  ``shifts`` (default 0) are the delta-parts
-    ``m_i * k`` of affine roots at level k; ``sign = -1`` straightens to
-    the antidominant chamber.  Returns ``(lambda_prime, mover)`` where
-    ``mover``, the element of ``system`` spelled by the recorded word, is
-    the minimal element taking ``lambda_prime`` back to ``vec``.
+    no such root is left.  ``vec`` is a coweight vector or a
+    :class:`~weylkl.rootdata.RationalCoweight`; ``shifts`` (default 0) are
+    the delta-parts ``m_i * k`` of affine roots at level k; ``sign = -1``
+    straightens to the antidominant chamber.  Returns
+    ``(lambda_prime, mover, zeros)`` where ``mover``, the element of
+    ``system`` spelled by the recorded word, is the minimal element taking
+    ``lambda_prime`` back to ``vec``, and ``zeros`` are the positions i
+    whose value vanishes at ``lambda_prime``.  All of it runs on integer
+    numerators; only ``lambda_prime`` is made of Fractions.
     """
     rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
     word = []
     for _ in range(100000):
+        zeros = []
         for i, (row, shift) in enumerate(zip(rows, shifts)):
             value = _value(row, shift, point)
             if sign * value < 0:
                 break
+            if not value:
+                zeros.append(i)
         else:
             mover = CoxeterElement(system, system._canonical(tuple(word)))
             if len(mover.word) != len(word):
                 raise AssertionError("straightening word must be reduced")
-            return tuple(Fraction(c, d) for c in point), mover
+            return tuple(Fraction(c, d) for c in point), mover, tuple(zeros)
         word.append(i)
         point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
     raise AssertionError("straightening did not terminate")
+
+
+def _orbit_numerators(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
+                      keep=None):
+    """:func:`orbit_walk` on integer numerators: ``(d, pairs)`` with the
+    points of ``pairs`` the numerators over ``d`` of the orbit points.
+    ``keep`` still sees Fraction points."""
+    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
+    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
+        raise ValueError("the start of an orbit walk must be dominant")
+
+    def fractions(point):
+        return tuple(Fraction(c, d) for c in point)
+
+    out = []
+    level = {point: ()} if keep is None or keep(fractions(point)) else {}
+    while level:
+        if len(out) + len(level) > coxeter._ENUM_LIMIT:
+            raise ValueError(
+                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
+        ordered = sorted(level.items(), key=lambda item: item[1])
+        out += [(word, point) for point, word in ordered]
+        nxt = {}
+        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
+            for point, word in ordered:
+                value = _value(row, shift, point)
+                if sign * value <= 0:
+                    continue
+                image = tuple(c - value * cr for c, cr in zip(point, coroot))
+                if image not in nxt:  # least letter first, then least word
+                    kept = keep is None or keep(fractions(image))
+                    nxt[image] = (i,) + word if kept else None
+        level = {image: word for image, word in nxt.items() if word is not None}
+    return d, out
 
 
 def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
@@ -282,35 +337,11 @@ def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
     ``(i,) + word(w)`` found.  Coroots may carry coordinates past the roots'
     (an imaginary part); they move but do not pair.  ``keep(point)`` may
     refuse a point, and must then refuse everything above it too, as a
-    bound on the degree ``start - point`` does.
+    bound on the degree ``start - point`` does.  The walk itself runs on
+    integer numerators (:func:`_orbit_numerators`).
     """
-    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
-    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
-        raise ValueError("the start of an orbit walk must be dominant")
-
-    def fractions(point):
-        return tuple(Fraction(c, d) for c in point)
-
-    out = []
-    level = {point: ()} if keep is None or keep(fractions(point)) else {}
-    while level:
-        if len(out) + len(level) > coxeter._ENUM_LIMIT:
-            raise ValueError(
-                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
-        ordered = sorted(level.items(), key=lambda item: item[1])
-        out += [(word, fractions(point)) for point, word in ordered]
-        nxt = {}
-        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
-            for point, word in ordered:
-                value = _value(row, shift, point)
-                if sign * value <= 0:
-                    continue
-                image = tuple(c - value * cr for c, cr in zip(point, coroot))
-                if image not in nxt:  # least letter first, then least word
-                    kept = keep is None or keep(fractions(image))
-                    nxt[image] = (i,) + word if kept else None
-        level = {image: word for image, word in nxt.items() if word is not None}
-    return out
+    d, walk = _orbit_numerators(datum, roots, coroots, start, shifts, sign, keep)
+    return [(word, tuple(Fraction(c, d) for c in point)) for word, point in walk]
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
@@ -323,9 +354,8 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     roots = [datum.positive_roots[k] for k in simple]
     coroots = [datum.positive_coroots[k] for k in simple]
 
-    lambda_prime, mover = straighten(datum, system, roots, coroots, lam.vector)
-    singular = frozenset(
-        i + 1 for i, beta in enumerate(roots) if pairing(datum, beta, lambda_prime) == 0)
+    lambda_prime, mover, zeros = straighten(datum, system, roots, coroots, lam)
+    singular = frozenset(i + 1 for i in zeros)
     index_set = parabolic_quotient(system, singular)
     return Stratification(
         datum=datum, lam=lam, integral_indices=integral, simple_indices=simple,

@@ -112,10 +112,11 @@ def invert_unitriangular(mat):
     n = len(mat)
     if any(len(row) != n or row[i] != 1 or any(row[:i]) for i, row in enumerate(mat)):
         raise ValueError("matrix is not upper unitriangular")
-    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
     for i in range(n - 2, -1, -1):
         row = inverse[i]
         for k in range(i + 1, n):
-            if mat[i][k]:
-                row[k:] = [a - mat[i][k] * b for a, b in zip(row[k:], inverse[k][k:])]
+            c = mat[i][k]
+            if c:
+                row[k:] = [a - c * b for a, b in zip(row[k:], inverse[k][k:])]
     return inverse

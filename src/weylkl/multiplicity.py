@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import CoxeterElement, _positions
-from .endoscopy import Stratification, orbit_walk
+from .endoscopy import Stratification, _orbit_numerators, orbit_walk
 from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
 
@@ -250,14 +250,15 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
     if not y.is_identity:  # the one index element with y(lam') dominant
         raise ValueError("the requested simple module is not finite dimensional")
     coeffs = _inverse_row(strat, row)
-    top = strat.lambda_prime
+    d, walk = _orbit_numerators(strat.datum, strat.simple_roots,
+                                strat.simple_coroots, strat.lambda_prime)
+    top = sum(walk[0][1])
     drops = []
-    for _word, point in orbit_walk(strat.datum, strat.simple_roots,
-                                   strat.simple_coroots, top):
-        drop = sum(t - p for t, p in zip(top, point))
-        if drop < 0 or drop.denominator != 1:
+    for _word, point in walk:
+        drop, rest = divmod(top - sum(point), d)
+        if drop < 0 or rest:
             raise AssertionError("index weights must lie below the top weight")
-        drops.append(int(drop))
+        drops.append(drop)
     coroots = strat.datum.positive_coroots
     depth = drops[-1] - sum(map(sum, coroots))
     if depth < 0:

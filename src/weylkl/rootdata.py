@@ -140,6 +140,11 @@ class RootDatum:
             return 2 ** (n - 1) * math.factorial(n)
         return _WEYL_ORDERS[f"{t}{n}"]
 
+    def __hash__(self) -> int:
+        # type and rank determine the rest; hashing every root and coroot
+        # would make each cache lookup keyed by a datum cost microseconds
+        return hash((self.cartan_type, self.rank))
+
     def __repr__(self) -> str:
         return f"RootDatum({self.cartan_type}{self.rank})"
 

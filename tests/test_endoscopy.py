@@ -1,6 +1,7 @@
 """Tests for integral subsystems, their Coxeter systems, and stratification."""
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +9,12 @@ from pathlib import Path
 import pytest
 
 from weylkl.linalg import rref
-from weylkl.rootdata import RationalCoweight, build_root_datum
+from weylkl.rootdata import (
+    RationalCoweight,
+    build_root_datum,
+    pairing,
+    reflect_coweight_by_root,
+)
 from weylkl.coxeter import CoxeterSystem
 from weylkl.endoscopy import (
     coweight_orbit_action,
@@ -16,6 +22,7 @@ from weylkl.endoscopy import (
     indecomposable_indices,
     integral_positive_roots,
     orbit_walk,
+    straighten,
     strata_for_degree,
     stratify,
     subgroup_matrices,
@@ -134,6 +141,60 @@ def test_stratify_antidominant_mover():
     assert tuple(coweight_orbit_action(strat, mover, strat.lambda_prime)) == (-2, -1)
     # the mover is an index-set element (minimal in its coset)
     assert mover in strat.index_set
+
+
+def _fraction_straightening(strat):
+    """Reference for ``stratify``'s lambda', mover labels and singular set:
+    reflect ``lam.vector`` by the first simple root of the subsystem pairing
+    negatively, in Fractions, until none does."""
+    datum, roots, coroots = strat.datum, strat.simple_roots, strat.simple_coroots
+    vec, labels = strat.lam.vector, []
+    for _ in range(1000):
+        negative = [i for i, beta in enumerate(roots) if pairing(datum, beta, vec) < 0]
+        if not negative:
+            break
+        i = negative[0]
+        labels.append(strat.system.labels[i])
+        vec = reflect_coweight_by_root(datum, roots[i], coroots[i], vec)
+    else:
+        raise AssertionError("reference straightening did not terminate")
+    singular = frozenset(i + 1 for i, beta in enumerate(roots) if pairing(datum, beta, vec) == 0)
+    return vec, labels, singular
+
+
+def _reference_blocks():
+    pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+    assert len(pool) == 2000
+    for entry in pool:
+        yield build_root_datum(entry["type"], entry["rank"]), RationalCoweight(
+            tuple(entry["mu"]), entry["n"])
+    rng = random.Random("fraction straightening")
+    types = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+             ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]
+    for _ in range(300):
+        letter, rank = rng.choice(types)
+        n = rng.randint(1, 12)
+        yield build_root_datum(letter, rank), RationalCoweight(
+            tuple(rng.randint(-3 * n, 3 * n) for _ in range(rank)), n)
+
+
+def test_stratify_matches_a_fraction_straightening():
+    """lambda', the minimal mover and the singular set agree with Fraction
+    pairings and reflections on the small pool and seeded rank <= 4 blocks;
+    straightening a RationalCoweight equals straightening its vector."""
+    singular = 0
+    for datum, lam in _reference_blocks():
+        strat = stratify(datum, lam)
+        vec, labels, expected = _fraction_straightening(strat)
+        assert strat.lambda_prime == vec, lam
+        assert strat.minimal_mover == strat.system.element(labels), lam
+        assert strat.minimal_mover.length == len(labels), lam
+        assert strat.singular == expected, lam
+        assert (straighten(datum, strat.system, strat.simple_roots, strat.simple_coroots, lam)
+                == straighten(datum, strat.system, strat.simple_roots, strat.simple_coroots,
+                              lam.vector)), lam
+        singular += bool(expected)
+    assert singular >= 100
 
 
 def test_stratify_rejects_rank_mismatch():

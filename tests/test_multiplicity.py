@@ -11,9 +11,10 @@ import pytest
 import weylkl.multiplicity
 from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.coxeter import bruhat_leq, longest_element, multiply
-from weylkl.endoscopy import coweight_orbit_action, stratify
+from weylkl.endoscopy import coweight_orbit_action, orbit_walk, stratify
 from weylkl.kl import kl_polynomial
 from weylkl.multiplicity import (
+    _height_counts,
     _inverse_row,
     graded_partition_polynomial,
     graded_partition_series,
@@ -255,6 +256,46 @@ def test_dimension_matches_the_small_pool_and_the_cone_walk():
         strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
         got = simple_module_dimension(strat, strat.index_set[0])
         assert got == entry["dimension"] == _cone_walk_dimension(strat), entry
+
+
+def _fraction_drop_dimension(strat):
+    """The height-count sum of :func:`simple_module_dimension` with its drops
+    ht(lam' - w(lam')) summed in Fractions over the orbit walk's points."""
+    top = strat.lambda_prime
+    drops = []
+    for _word, point in orbit_walk(strat.datum, strat.simple_roots,
+                                   strat.simple_coroots, top):
+        drop = sum(t - p for t, p in zip(top, point))
+        assert drop >= 0 and drop.denominator == 1
+        drops.append(int(drop))
+    coroots = strat.datum.positive_coroots
+    depth = drops[-1] - sum(map(sum, coroots))
+    assert depth >= 0
+    counts = _height_counts(coroots, depth)
+    coeffs = inverse_multiplicity_matrix(strat)[0]
+    return sum(coeff * counts[depth - drop]
+               for coeff, drop in zip(coeffs, drops) if coeff and drop <= depth)
+
+
+def test_dimension_matches_fraction_drops_over_the_orbit_walk():
+    pool = [entry for entry in json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+            if "dimension" in entry]
+    fractional = 0
+    for entry in pool:
+        datum = build_root_datum(entry["type"], entry["rank"])
+        strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
+        got = simple_module_dimension(strat, strat.index_set[0])
+        assert got == _fraction_drop_dimension(strat), entry
+        fractional += any(c.denominator > 1 for c in strat.lambda_prime)
+    assert fractional >= 1
+    # lambda' with denominators 3 and 2: the walk's numerators are over d > 1
+    # and every drop is their sum divided exactly by d
+    for datum, lam, dimension in [(A2, RationalCoweight((4, 5), 3), 3),
+                                  (build_root_datum("A", 3), RationalCoweight((5, 6, 5), 2), 15)]:
+        strat = stratify(datum, lam)
+        assert {c.denominator for c in strat.lambda_prime} - {1} == {lam.n}
+        assert simple_module_dimension(strat, strat.index_set[0]) == dimension
+        assert _fraction_drop_dimension(strat) == dimension
 
 
 def test_weight_multiplicities_adjoint():

@@ -1,9 +1,11 @@
 """Tests for exact root-datum construction and pairings."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from weylkl.endoscopy import endoscopic_system
 from weylkl.rootdata import (
     RationalCoweight,
     build_root_datum,
@@ -125,6 +127,19 @@ def test_reflect_coweight_by_root():
     lam = (Fraction(1), Fraction(0))
     image = reflect_coweight_by_root(a2, theta, theta_vee, lam)
     assert tuple(image) == (0, -1)
+
+
+def test_equal_data_hash_equal():
+    """A copy equal to a built datum hashes equal to it and finds the same
+    cache entries, whose keys hash by type and rank alone."""
+    for cartan_type, rank in sorted(POSITIVE_ROOT_COUNTS):
+        datum = build_root_datum(cartan_type, rank)
+        copy = dataclasses.replace(datum)
+        assert copy is not datum and copy == datum
+        assert hash(copy) == hash(datum) == hash((cartan_type, rank))
+    b3 = build_root_datum("B", 3)
+    assert endoscopic_system(dataclasses.replace(b3), (0, 1, 2)) is endoscopic_system(b3, (0, 1, 2))
+    assert build_root_datum("B", 3) != build_root_datum("C", 3)
 
 
 def test_rational_coweight():
