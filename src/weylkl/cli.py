@@ -19,7 +19,6 @@ from .rootdata import RationalCoweight, RootDatum, build_root_datum
 from .coxeter import _ENUM_LIMIT, CoxeterSystem, parabolic_quotient, weyl_system
 from .kl import (
     KLFileCache,
-    _table_order,
     file_cache_from_env,
     format_kl_table,
     kl_polynomial,
@@ -208,7 +207,7 @@ def _cmd_kl(args) -> str:
             payload = {"pairs": [
                 {"y": _labels_text(y), "w": _labels_text(w),
                  "coefficients": list(table[y, w])}
-                for y, w in sorted(table, key=_table_order)]}
+                for y, w in table]}
             return json.dumps(payload, indent=2, sort_keys=True)
         return format_kl_table(table)
     if args.y is None or args.w is None:

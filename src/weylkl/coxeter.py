@@ -257,9 +257,9 @@ class CoxeterSystem:
         element of W^J, v_i < 0 marks a left descent, and v_i = 0 is a stuck
         letter (s_i * x = x * s_j, s_j in W_J), recorded as lmult[x][i] = x.
         desc[x] has bit i set when v_i <= 0: the left descents and stuck
-        letters of x.  Breadth first, so ids run in order of length; the
-        last level is kept, so a larger ``up_to`` extends a ball instead of
-        rebuilding it.
+        letters of x.  Breadth first, letters outside: the first to reach x,
+        fld[x], is its least left descent, so ids run in (length, word)
+        order.  The last level is kept: a larger ``up_to`` extends a ball.
         """
         if up_to is None and not self.is_finite:
             raise ValueError("system is infinite; a length bound is required")
@@ -282,13 +282,13 @@ class CoxeterSystem:
         frontier, cur_len = tab["frontier"], tab["max_len"]
         while frontier and (up_to is None or cur_len < up_to):
             nxt = {}
-            for g, point in frontier:
-                row = lmult[g]
-                for i, vi in enumerate(point):
+            for i in range(n):
+                for g, point in frontier:
+                    vi = point[i]
                     if vi < 0:
                         continue  # a left descent: s_i * g is already known
                     if vi == 0:
-                        row[i] = g  # stuck
+                        lmult[g][i] = g  # stuck
                         continue
                     image = tuple(vj - vi * gcm[j][i] for j, vj in enumerate(point))
                     known = nxt.get(image)
@@ -301,13 +301,11 @@ class CoxeterSystem:
                         nxt[image] = known
                         length.append(cur_len + 1)
                         lmult.append([None] * n)
-                    row[i] = known
+                        fld.append(i)
+                        words.append((i,) + words[g])
+                        desc.append(sum(1 << j for j, vj in enumerate(image) if vj <= 0))
+                    lmult[g][i] = known
                     lmult[known][i] = g
-            for point, g in nxt.items():  # ids in order; every descent is known
-                a = next(i for i, vi in enumerate(point) if vi < 0)
-                fld.append(a)
-                words.append((a,) + words[lmult[g][a]])
-                desc.append(sum(1 << i for i, vi in enumerate(point) if vi <= 0))
             frontier = [(g, point) for point, g in nxt.items()]
             cur_len += 1
         tab.update(frontier=frontier, complete=not frontier, size=len(length),
@@ -443,13 +441,11 @@ def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
 
     ``J`` is a collection of generator labels.  For infinite systems a
     ``length_bound`` is required and the representatives of length at most
-    the bound are returned.  This reads the table of W^J.
+    the bound are returned.  The k-th is id k of the table of W^J.
     """
-    tab = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))
-    length, words = tab["length"], tab["words"]
-    ids = [g for g in range(tab["size"]) if length_bound is None or length[g] <= length_bound]
-    ids.sort(key=lambda g: (length[g], words[g]))
-    return tuple(system._element(words[g]) for g in ids)
+    words = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))["words"]
+    return tuple(system._element(word) for word in words
+                 if length_bound is None or len(word) <= length_bound)
 
 
 def _positions(system, labels):

@@ -13,15 +13,16 @@ This module computes:
   minimal element ``y`` moving one to the other, the generators fixing
   ``lam'``, and the minimal coset representatives modulo those generators,
   which index the strata attached to ``lam``,
-* the orbit of ``lam'`` walked from that point (:func:`orbit_walk`), which
-  reads the same representatives off the orbit for the degree filters, the
-  highest weights and the affine strata.
+* the orbit points ``w(lam')``, read along the table of those
+  representatives, for the degree filters, highest weights and dimensions,
+  and the orbit walk (:func:`orbit_walk`), cut off by a degree bound, for
+  the affine strata.
 
 The stratification runs on integer numerators, and only its outputs are
 Fractions: one straightening pass over the numerators ``mu`` of ``mu/n``
 (:func:`straighten`) gives ``lam'``, the minimal mover and the singular
-generators, the positions whose value vanishes at ``lam'``; the orbit walk
-moves numerators over one common denominator as well.
+generators, the positions whose value vanishes at ``lam'``; the orbit
+points are numerators over one common denominator as well.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -209,15 +210,10 @@ def _subgroup_matrices(datum: RootDatum, simple_indices):
     n = datum.rank
     identity = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
     tab = system._ensure_tables()
-    matrices = [None] * tab["size"]
-    matrices[0] = identity
-    for g in range(1, tab["size"]):  # ids run in order of length
-        s = tab["fld"][g]
-        h = tab["lmult"][g][s]  # shorter neighbour: g = s_s * h
-        cols = []
-        for col in matrices[h]:
-            cols.append(reflect_coweight_by_root(datum, roots[s], coroots[s], col))
-        matrices[g] = tuple(tuple(c) for c in cols)
+    matrices = [identity]
+    for g, s in enumerate(tab["fld"][1:], 1):  # g = s_s * h with h shorter
+        matrices.append(tuple(reflect_coweight_by_root(datum, roots[s], coroots[s], col)
+                              for col in matrices[tab["lmult"][g][s]]))
     return frozenset(matrices)
 
 
@@ -289,40 +285,6 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
     raise AssertionError("straightening did not terminate")
 
 
-def _orbit_numerators(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
-                      keep=None):
-    """:func:`orbit_walk` on integer numerators: ``(d, pairs)`` with the
-    points of ``pairs`` the numerators over ``d`` of the orbit points.
-    ``keep`` still sees Fraction points."""
-    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
-    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
-        raise ValueError("the start of an orbit walk must be dominant")
-
-    def fractions(point):
-        return tuple(Fraction(c, d) for c in point)
-
-    out = []
-    level = {point: ()} if keep is None or keep(fractions(point)) else {}
-    while level:
-        if len(out) + len(level) > coxeter._ENUM_LIMIT:
-            raise ValueError(
-                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
-        ordered = sorted(level.items(), key=lambda item: item[1])
-        out += [(word, point) for point, word in ordered]
-        nxt = {}
-        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
-            for point, word in ordered:
-                value = _value(row, shift, point)
-                if sign * value <= 0:
-                    continue
-                image = tuple(c - value * cr for c, cr in zip(point, coroot))
-                if image not in nxt:  # least letter first, then least word
-                    kept = keep is None or keep(fractions(image))
-                    nxt[image] = (i,) + word if kept else None
-        level = {image: word for image, word in nxt.items() if word is not None}
-    return d, out
-
-
 def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
                keep=None):
     """Pairs ``(word, w(start))`` for the minimal coset representatives w
@@ -338,10 +300,35 @@ def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
     (an imaginary part); they move but do not pair.  ``keep(point)`` may
     refuse a point, and must then refuse everything above it too, as a
     bound on the degree ``start - point`` does.  The walk itself runs on
-    integer numerators (:func:`_orbit_numerators`).
+    integer numerators.
     """
-    d, walk = _orbit_numerators(datum, roots, coroots, start, shifts, sign, keep)
-    return [(word, tuple(Fraction(c, d) for c in point)) for word, point in walk]
+    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
+    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
+        raise ValueError("the start of an orbit walk must be dominant")
+
+    def fractions(point):
+        return tuple(Fraction(c, d) for c in point)
+
+    out = []
+    level = {point: ()} if keep is None or keep(fractions(point)) else {}
+    while level:
+        if len(out) + len(level) > coxeter._ENUM_LIMIT:
+            raise ValueError(
+                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
+        ordered = sorted(level.items(), key=lambda item: item[1])
+        out += [(word, fractions(point)) for point, word in ordered]
+        nxt = {}
+        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
+            for point, word in ordered:
+                value = _value(row, shift, point)
+                if sign * value <= 0:
+                    continue
+                image = tuple(c - value * cr for c, cr in zip(point, coroot))
+                if image not in nxt:  # least letter first, then least word
+                    kept = keep is None or keep(fractions(image))
+                    nxt[image] = (i,) + word if kept else None
+        level = {image: word for image, word in nxt.items() if word is not None}
+    return out
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
@@ -363,18 +350,33 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
         singular=singular, index_set=index_set)
 
 
+def _index_numerators(strat: Stratification):
+    """``(d, points)``: the numerators over ``d`` of w(lambda') for the index
+    set's w, in its order, read along the table of W^J: with s = fld[x],
+    p(x) = s(p(s*x)), where <beta_s, p(s*x)> > 0 as lambda' is dominant."""
+    system, coroots = strat.system, strat.simple_coroots
+    tab = system._ensure_tables(J=tuple(coxeter._positions(system, strat.singular)))
+    rows, d, point, _ = _integer_point(strat.datum, strat.simple_roots,
+                                       strat.lambda_prime, None)
+    points = [point]
+    for x, s in enumerate(tab["fld"][1:], 1):
+        parent = points[tab["lmult"][x][s]]
+        value = _value(rows[s], 0, parent)
+        if value <= 0:
+            raise AssertionError("lambda' must be dominant with stabilizer W_J")
+        points.append(tuple(c - value * cr for c, cr in zip(parent, coroots[s])))
+    return d, points
+
+
 def strata_for_degree(strat: Stratification, alpha):
     """Index-set elements w with lambda' - w(lambda') below alpha.
 
-    ``alpha`` is an ambient coweight vector; "below" means the difference
-    is a componentwise nonnegative integer vector.  The difference only
-    grows along the orbit walk, so the walk stops at the bound.
+    ``alpha`` is an ambient coweight vector of the datum's rank; "below"
+    means the difference is a componentwise nonnegative integer vector.
     """
-    lam = strat.lambda_prime
-
-    def below(point):
-        return dominance_compare(tuple(a - b for a, b in zip(lam, point)), alpha)
-
-    walk = orbit_walk(strat.datum, strat.simple_roots, strat.simple_coroots, lam,
-                      keep=below)
-    return tuple(strat.system._element(word) for word, _point in walk)
+    rank = strat.datum.rank
+    if len(alpha) != rank:
+        raise ValueError(f"the degree has {len(alpha)} coordinates; the rank is {rank}")
+    d, points = _index_numerators(strat)
+    return tuple(w for w, point in zip(strat.index_set, points) if dominance_compare(
+        tuple(Fraction(t - c, d) for t, c in zip(points[0], point)), alpha))

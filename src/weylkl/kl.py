@@ -218,7 +218,8 @@ def kl_table(system: CoxeterSystem, max_length=None):
 
     The J = () case of the column fill: every column of the table of W,
     which has no stuck letters, up to length ``max_length`` (required for
-    infinite systems).
+    infinite systems).  Keys come in :func:`_table_order` when the labels
+    increase with the positions, as for every named system.
     """
     if max_length is None and not system.is_finite:
         raise ValueError("system is infinite; max_length is required")
@@ -228,12 +229,7 @@ def kl_table(system: CoxeterSystem, max_length=None):
             if max_length is None or length[g] <= max_length]
     kl = _fill(system, (), wids)
     labelled = [tuple(system.labels[p] for p in word) for word in words]
-    out = {}
-    for wid in sorted(wids, key=lambda g: (length[g], words[g])):
-        col = kl[wid]
-        for yid in sorted(col):
-            out[(labelled[yid], labelled[wid])] = col[yid]
-    return out
+    return {(labelled[y], labelled[w]): kl[w][y] for w in wids for y in sorted(kl[w])}
 
 
 def _word_text(word_labels):

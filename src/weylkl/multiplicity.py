@@ -9,8 +9,9 @@ equals the Kazhdan-Lusztig polynomial ``P_{w w0, y w0}`` of the subsystem's
 Coxeter system evaluated at 1, where ``w0`` is the longest element of the
 subgroup W_J generated by the generators fixing ``lam'``.  These are
 Deodhar's parabolic polynomials (u = -1) on W^J, read off the column fill of
-the table of W^J itself, so a block costs only |W^J|.  The polynomial
-itself is the graded (layer-by-layer) version of the multiplicity.
+the table of W^J itself, whose ids are the index set's positions, so a
+block costs only |W^J|.  The polynomial itself is the graded
+(layer-by-layer) version of the multiplicity.
 
 Graded partition counts for character manipulations live here as well: the
 q-coefficient of a partition count records the number of parts, so that
@@ -28,8 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import coxeter
 from .coxeter import CoxeterElement, _positions
-from .endoscopy import Stratification, _orbit_numerators, orbit_walk
+from .endoscopy import Stratification, _index_numerators
 from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
 
@@ -49,9 +51,8 @@ __all__ = [
 def index_highest_weights(strat: Stratification):
     """Highest weights w(lam') - rho, one per index-set element, in order."""
     rho = strat.datum.rho
-    walk = orbit_walk(strat.datum, strat.simple_roots, strat.simple_coroots,
-                      strat.lambda_prime)
-    return tuple(tuple(m - r for m, r in zip(point, rho)) for _word, point in walk)
+    d, points = _index_numerators(strat)
+    return tuple(tuple(Fraction(c, d) - r for c, r in zip(p, rho)) for p in points)
 
 
 def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
@@ -60,7 +61,7 @@ def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
     if w not in strat.index_set or y not in strat.index_set:
         raise ValueError("multiplicities are indexed by the stratification's index set")
     J = tuple(_positions(strat.system, strat.singular))
-    return _kl_column(strat.system, y, J).get(strat.system._id_of(w, J), ())
+    return _kl_column(strat.system, y, J).get(strat.index_set.index(w), ())
 
 
 def multiplicity(strat: Stratification, w: CoxeterElement, y: CoxeterElement) -> int:
@@ -77,7 +78,7 @@ def multiplicity_matrix(strat: Stratification):
     system = strat.system
     J = tuple(_positions(system, strat.singular))
     system._ensure_tables(J=J)
-    ids = [system._id_of(w, J) for w in strat.index_set]
+    ids = range(len(strat.index_set))
     kl = _fill(system, J, ids)
     return [[sum(kl[y].get(w, ())) for y in ids] for w in ids]
 
@@ -187,8 +188,11 @@ def simple_weight_multiplicity(strat: Stratification, y: CoxeterElement, nu) -> 
 
     Evaluated through the inverse multiplicity matrix: an alternating sum of
     Verma weight-space dimensions, which are partition counts into the
-    positive coroots.
+    positive coroots.  ``nu`` must have the datum's rank.
     """
+    rank = strat.datum.rank
+    if len(nu) != rank:
+        raise ValueError(f"the weight has {len(nu)} coordinates; the rank is {rank}")
     _require_full_integrality(strat)
     coeffs = _inverse_row(strat, _index_position(strat, y))
     weights = index_highest_weights(strat)
@@ -220,8 +224,8 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
 
     ``y`` defaults to the minimal mover.  The module can be finite
     dimensional only when y(lam') is dominant, which in the index set means
-    y = e; any other y raises ``ValueError``, as do a block that does not
-    pair integrally with every root and a negative depth.
+    y = e; any other y raises ``ValueError``, as do a block not pairing
+    integrally with every root and a depth < 0 or > the enumeration limit.
 
     With A the inverse-matrix row of e, the module's character is
     sum_w A_w ch M(w(lam') - rho).  Summed over the weights above the lowest
@@ -249,12 +253,10 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
     row = _index_position(strat, y)
     if not y.is_identity:  # the one index element with y(lam') dominant
         raise ValueError("the requested simple module is not finite dimensional")
-    coeffs = _inverse_row(strat, row)
-    d, walk = _orbit_numerators(strat.datum, strat.simple_roots,
-                                strat.simple_coroots, strat.lambda_prime)
-    top = sum(walk[0][1])
+    d, points = _index_numerators(strat)
+    top = sum(points[0])
     drops = []
-    for _word, point in walk:
+    for point in points:
         drop, rest = divmod(top - sum(point), d)
         if drop < 0 or rest:
             raise AssertionError("index weights must lie below the top weight")
@@ -263,6 +265,10 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
     depth = drops[-1] - sum(map(sum, coroots))
     if depth < 0:
         raise ValueError("the requested simple module is not finite dimensional")
+    if depth > coxeter._ENUM_LIMIT:  # _height_counts keeps depth + 1 integers
+        raise ValueError(f"the weight cone has depth {depth}, more than the "
+                         f"enumeration limit {coxeter._ENUM_LIMIT}")
+    coeffs = _inverse_row(strat, row)
     counts = _height_counts(coroots, depth)
     return sum(coeff * counts[depth - drop]
                for coeff, drop in zip(coeffs, drops) if coeff and drop <= depth)

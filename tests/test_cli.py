@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -73,6 +77,22 @@ def test_readme_command_block_runs(capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
+def test_readme_quick_start_block_runs():
+    """The README's Quick start Python block runs as written, and the KL and
+    oracle matrices it prints are equal."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("### Quick start", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    index, kl_matrix, oracle_matrix = proc.stdout.splitlines()
+    assert kl_matrix == oracle_matrix
+    assert len(ast.literal_eval(kl_matrix)) == len(ast.literal_eval(index)) > 1
+
+
 @pytest.mark.parametrize("argv", [
     ("weyl", "--type", "E", "--rank", "7"),
     ("kl", "--type", "E", "--rank", "8", "--y", "e", "--w", "1,2"),
@@ -94,6 +114,23 @@ def test_enumeration_limit_exits_one_on_any_path(capsys, monkeypatch):
                        "--lambda", "0,0/1", "--level", "1", "--length", "4")
     assert code == 1
     assert "enumeration limit" in err
+
+
+def test_character_refuses_a_weight_cone_past_the_enumeration_limit(capsys):
+    """The height counts would hold about 2*10^9 integers; the dimension is
+    refused before they are built.  A cone of depth just under the limit
+    still runs."""
+    start = time.monotonic()
+    code, out, err = run(capsys, "character", "--type", "A", "--rank", "1",
+                         "--lambda", "1000000000/1")
+    assert code == 1
+    assert out == ""
+    assert "enumeration limit" in err
+    assert time.monotonic() - start < 1.0
+    code, out, _ = run(capsys, "character", "--type", "A", "--rank", "1",
+                       "--lambda", "250000/1")
+    assert code == 0
+    assert out.strip() == "simple module dimension: 500000"
 
 
 def test_fold_example(capsys):

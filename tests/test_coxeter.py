@@ -415,6 +415,37 @@ def test_affine_ball_sizes():
         assert len(parabolic_quotient(system, (), length_bound=bound)) == 2 * bound + 1
 
 
+def _assert_ids_in_length_word_order(tab):
+    """Ids run in (length, word) order and fld[x] is the first letter of
+    x's canonical word."""
+    keys = [(len(word), word) for word in tab["words"]]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert tab["length"] == [len(word) for word in tab["words"]]
+    assert all(tab["fld"][x] == tab["words"][x][0] for x in range(1, tab["size"]))
+
+
+@pytest.mark.parametrize("letter,rank", [
+    (letter, rank) for letter, rank in FINITE_TYPES_UP_TO_RANK_8 if rank <= 4]
+    + [("A", 5), ("D", 5)])
+def test_table_ids_are_in_length_word_order_for_every_J(letter, rank):
+    system = CoxeterSystem(build_root_datum(letter, rank).cartan_matrix)
+    for k in range(rank + 1):
+        for J in combinations(range(rank), k):
+            _assert_ids_in_length_word_order(system._ensure_tables(J=J))
+
+
+@pytest.mark.parametrize("datum,bound", [(A1, 9), (A2, 6), (B2, 6), (G2, 7), (A3, 4)])
+def test_growing_affine_balls_keep_length_word_order(datum, bound):
+    system = CoxeterSystem(affinization(datum).gcm)
+    for J in [(), (1,)]:
+        words = []
+        for up_to in range(bound + 1):
+            tab = system._ensure_tables(up_to=up_to, J=J)
+            _assert_ids_in_length_word_order(tab)
+            assert tab["words"][:len(words)] == words
+            words = tab["words"][:]
+
+
 def test_translation_element_values():
     aff1 = affinization(A1)
     t = translation_element(aff1, (1,))

@@ -1,17 +1,23 @@
 """Tests for integral subsystems, their Coxeter systems, and stratification."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import weylkl
 from weylkl.linalg import rref
+from weylkl.multiplicity import index_highest_weights
 from weylkl.rootdata import (
     RationalCoweight,
     build_root_datum,
+    dominance_compare,
     pairing,
     reflect_coweight_by_root,
 )
@@ -275,18 +281,88 @@ def walk_of(strat, keep=None):
                       strat.lambda_prime, keep=keep)
 
 
+def _check_table_reads_against_the_walk(strat, rng):
+    """The orbit walk lists the index set in order with its orbit points,
+    and the readers of the table of W^J agree with it: the highest weights
+    point by point, and ``strata_for_degree`` with a walk stopped at the
+    degree bound, at a seeded degree near that of a random element."""
+    lam = strat.lambda_prime
+    walk = walk_of(strat)
+    assert [word for word, _ in walk] == [w.word for w in strat.index_set]
+    rho = strat.datum.rho
+    assert index_highest_weights(strat) == tuple(
+        tuple(c - r for c, r in zip(point, rho)) for _, point in walk)
+    _, point = rng.choice(walk)
+    alpha = tuple(int(a - b) + rng.randint(-1, 1) for a, b in zip(lam, point))
+
+    def below(point):
+        return dominance_compare(tuple(a - b for a, b in zip(lam, point)), alpha)
+
+    assert [w.word for w in strata_for_degree(strat, alpha)] == [
+        word for word, _ in walk_of(strat, keep=below)]
+    return walk
+
+
 def test_orbit_walk_is_the_index_set_on_the_small_pool():
     """Words are the index set's canonical words, in its order, and points
     are the orbit, on every block of the benchmark's small-block pool."""
     pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
     assert len(pool) == 2000
+    rng = random.Random("table reads")
     for entry in pool:
         datum = build_root_datum(entry["type"], entry["rank"])
         strat = stratify(datum, RationalCoweight(tuple(entry["mu"]), entry["n"]))
-        walk = walk_of(strat)
-        assert [word for word, _ in walk] == [w.word for w in strat.index_set]
+        walk = _check_table_reads_against_the_walk(strat, rng)
         assert [point for _, point in walk] == [
             coweight_orbit_action(strat, w, strat.lambda_prime) for w in strat.index_set]
+
+
+@pytest.mark.parametrize("letter,rank,mu,n,size", [
+    ("F", 4, (0, 0, 3, 3), 1, 24),  # the benchmark's heavy blocks
+    ("D", 5, (0, 0, 0, 2, 2), 1, 10),
+    ("A", 5, (2, 1, 3, 2, 1), 1, 15),
+    ("A", 6, (6, 5, 4, 3, 2, 1), 7, 7),
+    ("B", 4, (2, 3, 1, 1), 1, 96),
+    ("A", 5, (3, 2, 1, 3, 1), 1, 120),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1), 1, 240)])
+def test_table_reads_match_the_orbit_walk_on_heavy_blocks(letter, rank, mu, n, size):
+    strat = stratify(build_root_datum(letter, rank), RationalCoweight(mu, n))
+    assert len(strat.index_set) == size
+    rng = random.Random(f"table reads {letter}{rank}")
+    for _ in range(5):
+        _check_table_reads_against_the_walk(strat, rng)
+
+
+def test_degree_of_the_wrong_length_is_refused():
+    strat = stratify(A2, RationalCoweight((2, 2), 1))
+    assert len(strata_for_degree(strat, (1, 0))) == 1
+    for alpha in [(1,), (1, 0, 5)]:
+        with pytest.raises(ValueError, match="the rank is 2"):
+            strata_for_degree(strat, alpha)
+
+
+_NON_DOMINANT = """
+import dataclasses
+import sys
+from weylkl.endoscopy import stratify
+from weylkl.multiplicity import index_highest_weights
+from weylkl.rootdata import RationalCoweight, build_root_datum
+if not sys.flags.optimize:
+    raise SystemExit("not running under -O")
+strat = stratify(build_root_datum("A", 2), RationalCoweight((2, 2), 1))
+index_highest_weights(dataclasses.replace(strat, lambda_prime=(-2, -2)))
+"""
+
+
+def test_non_dominant_lambda_prime_raises_under_optimize():
+    """A step of the table that does not pair positively is a raise, so a
+    lambda' that is not dominant is caught even when asserts are compiled
+    away."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylkl.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_DOMINANT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: lambda' must be dominant" in proc.stderr
 
 
 def test_orbit_walk_keep_refuses_everything_above():

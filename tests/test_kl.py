@@ -23,6 +23,7 @@ from weylkl.coxeter import (
 from weylkl.kl import (
     CACHE_ENV_VAR,
     KLFileCache,
+    _table_order,
     file_cache_from_env,
     kl_mu,
     kl_polynomial,
@@ -114,6 +115,15 @@ def test_poly_string():
     assert poly_string((1,)) == "1"
     assert poly_string((1, 1)) == "1 + q"
     assert poly_string((1, 0, 2)) == "1 + 2*q^2"
+
+
+@pytest.mark.parametrize("system", [
+    weyl_system(build_root_datum("A", 3)), weyl_system(build_root_datum("B", 3)),
+    weyl_system(build_root_datum("G", 2)), affinization(build_root_datum("A", 2))],
+    ids=repr)
+def test_table_keys_come_in_table_order(system):
+    table = kl_table(system, max_length=None if system.is_finite else 5)
+    assert list(table) == sorted(table, key=_table_order)
 
 
 def test_table_requires_bound_for_affine():

@@ -313,6 +313,15 @@ def test_weight_multiplicity_requires_integrality():
         simple_weight_multiplicity(strat, strat.minimal_mover, (0, 0))
 
 
+def test_weight_of_the_wrong_length_is_refused():
+    strat = stratify(A2, RationalCoweight((2, 2), 1))
+    e = strat.index_set[0]
+    hw = index_highest_weights(strat)[0]
+    assert simple_weight_multiplicity(strat, e, hw) == 1
+    with pytest.raises(ValueError, match="the rank is 2"):
+        simple_weight_multiplicity(strat, e, hw[:1])
+
+
 def test_graded_partition_polynomial_basics():
     vectors = ((1, 0), (0, 1), (1, 1))
     assert graded_partition_polynomial(vectors, (0, 0)) == (1,)
