@@ -5,35 +5,47 @@ its integral subsystem, and evaluate Kazhdan-Lusztig polynomials into the
 Verma-to-simple multiplicity matrix of that stratification, with graded
 characters, affine level classifications, diagram foldings, and a
 brute-force oracle alongside.
+
+The names below load on first use: ``import weylkl`` imports no submodule,
+and ``weylkl.stratify`` imports :mod:`weylkl.endoscopy` (and what it needs)
+the first time it is read.
 """
 
-from .rootdata import RationalCoweight, RootDatum, build_root_datum
-from .coxeter import CoxeterElement, CoxeterSystem, weyl_system
-from .kl import kl_polynomial, kl_table
-from .endoscopy import Stratification, stratify
-from .multiplicity import multiplicity_matrix
-from .affine import AffineCoweight, LevelClass, affine_endoscopy
-from .folding import FoldingDatum, fold
-from .oracle import oracle_multiplicity_matrix
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineCoweight",
-    "CoxeterElement",
-    "CoxeterSystem",
-    "FoldingDatum",
-    "LevelClass",
-    "RationalCoweight",
-    "RootDatum",
-    "Stratification",
-    "affine_endoscopy",
-    "build_root_datum",
-    "fold",
-    "kl_polynomial",
-    "kl_table",
-    "multiplicity_matrix",
-    "oracle_multiplicity_matrix",
-    "stratify",
-    "weyl_system",
-]
+_SOURCES = {
+    "RationalCoweight": "rootdata",
+    "RootDatum": "rootdata",
+    "build_root_datum": "rootdata",
+    "CoxeterElement": "coxeter",
+    "CoxeterSystem": "coxeter",
+    "weyl_system": "coxeter",
+    "kl_polynomial": "kl",
+    "kl_table": "kl",
+    "Stratification": "endoscopy",
+    "stratify": "endoscopy",
+    "multiplicity_matrix": "multiplicity",
+    "AffineCoweight": "affine",
+    "LevelClass": "affine",
+    "affine_endoscopy": "affine",
+    "FoldingDatum": "folding",
+    "fold": "folding",
+    "oracle_multiplicity_matrix": "oracle",
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # relative to __package__, which stays "weylkl" when this file is
+    # imported under another name
+    return getattr(importlib.import_module(f".{source}", __package__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

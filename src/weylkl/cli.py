@@ -4,7 +4,9 @@ Coweights are entered as ``c1,c2,…/n`` in simple-coroot coordinates (the
 denominator defaults to 1), reduced words as comma-separated generator
 labels with ``e`` for the identity; the extra affine generator carries the
 label 0.  Domain errors exit with status 1 and the originating module's
-message; argument errors exit with status 2.
+message; argument errors exit with status 2.  A handler imports the
+modules beyond ``rootdata``, ``coxeter`` and ``kl`` that it calls, so a
+command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -25,24 +27,6 @@ from .kl import (
     kl_table,
     poly_string,
 )
-from .endoscopy import strata_for_degree, stratify
-from .multiplicity import (
-    graded_partition_series,
-    index_highest_weights,
-    multiplicity_matrix,
-    simple_module_dimension,
-    simple_weight_multiplicity,
-)
-from .affine import (
-    AffineCoweight,
-    LevelClass,
-    affine_endoscopy,
-    affine_index_set,
-    affine_strata_index,
-    critical_strata_index,
-)
-from .folding import fold, untwist_classify
-from .oracle import oracle_multiplicity_matrix
 
 
 # -- input parsing ------------------------------------------------------------
@@ -97,6 +81,13 @@ def _parse_degree(text, rank_):
         raise ValueError(f"the delta part of --alpha must be an integer, "
                          f"got {imag!r}") from None
     return finite, m
+
+
+def _nonnegative(value, flag):
+    """A length or depth bound from ``flag``, refused when negative."""
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
 
 
 def _parse_source(text) -> RootDatum:
@@ -189,7 +180,8 @@ def _enumerable_weyl_system(datum: RootDatum) -> CoxeterSystem:
 def _cmd_weyl(args) -> str:
     datum = build_root_datum(args.type, args.rank)
     system = _enumerable_weyl_system(datum)
-    elements = parabolic_quotient(system, (), length_bound=args.length)
+    elements = parabolic_quotient(system, (),
+                                  length_bound=_nonnegative(args.length, "--length"))
     words = [_word_text(w) for w in elements]
     payload = {"count": len(words), "elements": words}
     lines = [f"{len(words)} elements"
@@ -202,7 +194,7 @@ def _cmd_kl(args) -> str:
     datum = build_root_datum(args.type, args.rank)
     system = _enumerable_weyl_system(datum)
     if args.table:
-        table = kl_table(system, max_length=args.length)
+        table = kl_table(system, max_length=_nonnegative(args.length, "--length"))
         if args.format == "json":
             payload = {"pairs": [
                 {"y": _labels_text(y), "w": _labels_text(w),
@@ -224,6 +216,8 @@ def _cmd_kl(args) -> str:
 
 
 def _stratification(args):
+    from .endoscopy import stratify
+
     datum = build_root_datum(args.type, args.rank)
     return datum, stratify(datum, _parse_lambda(args.lam))
 
@@ -259,6 +253,8 @@ def _cmd_endoscopy(args) -> str:
 
 
 def _cmd_strata(args) -> str:
+    from .endoscopy import strata_for_degree
+
     datum, strat = _stratification(args)
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha, datum.rank)
@@ -274,6 +270,8 @@ def _cmd_strata(args) -> str:
 
 
 def _cmd_multiplicity(args) -> str:
+    from .multiplicity import multiplicity_matrix
+
     datum, strat = _stratification(args)
     matrix = multiplicity_matrix(strat)
     words = [_word_text(w) for w in strat.index_set]
@@ -286,11 +284,20 @@ def _cmd_multiplicity(args) -> str:
 
 
 def _cmd_character(args) -> str:
+    from .endoscopy import stratify
+    from .multiplicity import (
+        graded_partition_series,
+        index_highest_weights,
+        simple_module_dimension,
+        simple_weight_multiplicity,
+    )
+
     datum = build_root_datum(args.type, args.rank)
     if args.lam is None:
         if args.depth is None:
             raise ValueError("character needs --lambda or --depth")
-        series = graded_partition_series(datum.positive_coroots, args.depth)
+        series = graded_partition_series(datum.positive_coroots,
+                                         _nonnegative(args.depth, "--depth"))
         items = sorted(series.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         payload = {"series": [
             {"degree": _vec(expo), "coefficients": list(coeffs),
@@ -320,6 +327,15 @@ def _cmd_character(args) -> str:
 
 
 def _cmd_affine(args) -> str:
+    from .affine import (
+        AffineCoweight,
+        LevelClass,
+        affine_endoscopy,
+        affine_index_set,
+        affine_strata_index,
+        critical_strata_index,
+    )
+
     datum = build_root_datum(args.type, args.rank)
     lam = _parse_lambda(args.lam)
     if args.pair is not None:
@@ -380,7 +396,7 @@ def _cmd_affine(args) -> str:
                          f"{len(words)} elements")
             lines += ["  " + t for t in words]
     elif args.length is not None:
-        index = affine_index_set(strat, args.length)
+        index = affine_index_set(strat, _nonnegative(args.length, "--length"))
         words = [_word_text(w) for w in index]
         payload["index"] = words
         lines.append(f"singular quotient up to length {args.length}: "
@@ -390,6 +406,8 @@ def _cmd_affine(args) -> str:
 
 
 def _cmd_fold(args) -> str:
+    from .folding import fold, untwist_classify
+
     source = _parse_source(args.source)
     sigma = _parse_int_vector(args.sigma, "--sigma")
     fd = fold(source, sigma)
@@ -426,6 +444,10 @@ def _cmd_fold(args) -> str:
 
 
 def _cmd_oracle_check(args) -> str:
+    from .endoscopy import stratify
+    from .multiplicity import multiplicity_matrix
+    from .oracle import oracle_multiplicity_matrix
+
     datum = build_root_datum(args.type, args.rank)
     lam = _parse_lambda(args.lam)
     strat = stratify(datum, lam)

@@ -276,6 +276,23 @@ class CoxeterSystem:
         return tab
 
     def _walk(self, tab, up_to):
+        try:
+            self._walk_levels(tab, up_to)
+        except BaseException:
+            # the limit (or an interrupt) struck mid-level: put the table back
+            # as it was, the rows past the old size gone and the frontier's
+            # upward and stuck letters unset again
+            size = tab["size"]
+            for key in ("length", "lmult", "words", "fld", "desc"):
+                del tab[key][size:]
+            for g, point in tab["frontier"]:
+                row = tab["lmult"][g]
+                for i, vi in enumerate(point):
+                    if vi >= 0:
+                        row[i] = None
+            raise
+
+    def _walk_levels(self, tab, up_to):
         length, lmult, words, fld = tab["length"], tab["lmult"], tab["words"], tab["fld"]
         desc = tab["desc"]
         gcm, n = self.gcm, self.rank

@@ -284,6 +284,21 @@ def test_affine_bad_alpha_names_the_flag(capsys):
     assert "--alpha" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["weyl", "--type", "A", "--rank", "2", "--length"], "--length"),
+    (["kl", "--type", "A", "--rank", "2", "--table", "--length"], "--length"),
+    (["character", "--type", "A", "--rank", "2", "--depth"], "--depth"),
+    (["affine", "--type", "A", "--rank", "1", "--lambda", "1/2", "--level", "1",
+      "--length"], "--length"),
+])
+def test_negative_bound_names_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == 1 and not out
+    assert f"{flag} must be nonnegative" in err
+    code, out, _ = run(capsys, *argv, "0")
+    assert code == 0 and out
+
+
 def test_oracle_check(capsys):
     code, out, _ = run(capsys, "oracle-check", "--type", "A", "--rank", "1",
                        "--lambda", "1/1")

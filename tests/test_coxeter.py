@@ -2,6 +2,7 @@
 
 import random
 import time
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -110,6 +111,25 @@ def test_enumeration_limit_is_a_domain_error(monkeypatch):
     monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
     with pytest.raises(ValueError, match="enumeration limit"):
         CoxeterSystem(A3.cartan_matrix).size()
+
+
+@pytest.mark.parametrize("J", [(), (1,)])
+def test_walk_stopped_by_the_limit_leaves_the_table_as_it_was(monkeypatch, J):
+    """A walk that hits the limit mid-level gives back the table it started
+    from: a smaller ball still walks, and a retry under a higher limit
+    gives the whole table."""
+    system = CoxeterSystem(A3.cartan_matrix)
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
+    for up_to in (0, 1):  # the second call walks a whole level before the limit
+        before = deepcopy(system._ensure_tables(up_to=up_to, J=J))
+        with pytest.raises(ValueError, match="enumeration limit"):
+            system._ensure_tables(J=J)
+        assert system._tabs[J] == before
+    assert system._tabs[J] == CoxeterSystem(A3.cartan_matrix)._ensure_tables(up_to=1, J=J)
+    monkeypatch.undo()
+    tab = system._ensure_tables(J=J)
+    assert tab == CoxeterSystem(A3.cartan_matrix)._ensure_tables(J=J)
+    assert len(set(tab["words"])) == tab["size"] == 24 // (len(J) + 1)
 
 
 def test_invalid_cartan_rejected():

@@ -1,8 +1,11 @@
 """The library states its invariants with ``raise``, so they hold under
-``python -O``, and every module exports only names it defines."""
+``python -O``, every global name a function reads is bound, and every
+module exports only names it defines."""
 
 import ast
+import builtins
 import importlib
+import symtable
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,33 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+def _unbound_globals(path):
+    """(line of the scope, name) for each global name that a function or
+    class body of ``path`` reads but that neither the module nor builtins
+    bind: a lazy import left out of a handler fails only when it runs."""
+    top = symtable.symtable(path.read_text(encoding="utf-8"), str(path), "exec")
+    bound = {sym.get_name() for sym in top.get_symbols()
+             if sym.is_assigned() or sym.is_imported()}
+    read = {}
+    scopes = list(top.get_children())
+    while scopes:
+        scope = scopes.pop()
+        scopes += scope.get_children()
+        for sym in scope.get_symbols():
+            if sym.is_global() and sym.is_referenced():
+                read.setdefault(sym.get_name(), scope.get_lineno())
+            if sym.is_declared_global() and sym.is_assigned():
+                bound.add(sym.get_name())
+    return sorted((line, name) for name, line in read.items()
+                  if name not in bound and not hasattr(builtins, name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_undefined_global_names(path):
+    unbound = _unbound_globals(path)
+    assert not unbound, f"{path.name}: unbound global names {unbound}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
