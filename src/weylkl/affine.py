@@ -33,11 +33,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
 
-from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient, _symmetrizer
-from .endoscopy import _integer_data, _integer_point, _value
+from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
+from .endoscopy import _integer_point, _value
 from .endoscopy import orbit_walk, simple_system, straighten, subsystem_cartan
 from .linalg import kernel_basis
 from .rootdata import RootDatum
@@ -116,49 +114,31 @@ def negate(x: AffineCoweight) -> AffineCoweight:
 # invariant bilinear form and squared-length ratios
 
 
-@lru_cache(maxsize=None)
-def _root_gram(datum: RootDatum):
-    """Symmetrized Cartan matrix in integers: entries proportional to
-    (alpha_i, alpha_j), and the highest root's squared length in its scale."""
-    d = _symmetrizer(datum.cartan_matrix)
-    gram = tuple(tuple(d[i] * a for a in row)
-                 for i, row in enumerate(datum.cartan_matrix))
-    return gram, _root_norm(gram, datum.highest_root)
-
-
-def _root_norm(gram, beta) -> int:
-    return sum(b * sum(map(mul, row, beta)) for b, row in zip(beta, gram))
-
-
 def length_ratio(datum: RootDatum, beta) -> int:
-    """Squared-length ratio of the highest root to ``beta`` (1, 2 or 3)."""
-    gram, theta_norm = _root_gram(datum)
-    norm = _root_norm(gram, beta)
-    if norm <= 0 or theta_norm % norm:
+    """Squared-length ratio |theta|^2 / |beta|^2 of the highest root to the
+    root ``beta`` (1, 2 or 3).  With beta = sum b_i alpha_i and its coroot
+    sum c_i alpha_i^vee, c_i = b_i |alpha_i|^2 / |beta|^2, so the ratio is
+    c_i theta_i / (b_i theta^vee_i) for any i with b_i != 0."""
+    k = datum.root_index.get(tuple(beta))
+    if k is None:
+        k = datum.root_index.get(tuple(-b for b in beta))
+    if k is None:
         raise ValueError("not a root of the datum")
-    return theta_norm // norm
-
-
-@lru_cache(maxsize=None)
-def _coweight_gram(datum: RootDatum):
-    """Minimal even invariant form on coweights, in simple-coroot coordinates.
-
-    Column ``j`` of the Cartan matrix scaled by the squared-length ratio of
-    the j-th simple root; coroots of long roots get squared length 2.
-    """
-    n = datum.rank
-    ratios = [length_ratio(datum, datum.simple_roots[i]) for i in range(n)]
-    return tuple(
-        tuple(ratios[j] * datum.cartan_matrix[i][j] for j in range(n))
-        for i in range(n))
+    b, c = datum.positive_roots[k], datum.positive_coroots[k]
+    i = next(i for i, b_i in enumerate(b) if b_i)
+    return c[i] * datum.highest_root[i] // (b[i] * datum.highest_root_coroot[i])
 
 
 def invariant_form(datum: RootDatum, v, w) -> Fraction:
-    """The minimal even invariant form of two coweight vectors."""
-    gram = _coweight_gram(datum)
-    n = datum.rank
-    return sum(
-        Fraction(v[i]) * gram[i][j] * w[j] for i in range(n) for j in range(n))
+    """The minimal even invariant form of two coweight vectors.
+
+    Its Gram matrix in simple coroots is column j of the Cartan matrix scaled
+    by |theta|^2 / |alpha_j|^2 = theta_j / theta^vee_j; coroots of long roots
+    get squared length 2.
+    """
+    ratios = [t // t_vee for t, t_vee in zip(datum.highest_root, datum.highest_root_coroot)]
+    return sum(Fraction(v[i]) * ratios[j] * a * w[j]
+               for i, row in enumerate(datum.cartan_matrix) for j, a in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +161,20 @@ def _integral_window(datum: RootDatum, vec, k, m_max):
 
 
 def _left_null_marks(gcm, positions):
-    """Primitive positive integer left null vector of an affine sub-matrix."""
+    """Primitive positive integer left null vector of an affine sub-matrix.
+
+    An indecomposable Cartan matrix is affine iff it has a positive null
+    vector (Kac, Infinite-dimensional Lie algebras, Cor. 4.3), and its
+    transpose has the same type: the marks prove the component affine.
+    """
     idx = sorted(positions)
     # x with sum_i x_i * gcm[idx[i]][idx[j]] = 0: the kernel of the transpose
     basis = kernel_basis([[gcm[i][j] for i in idx] for j in idx])
     if len(basis) != 1:
-        raise ValueError("component does not have a one-dimensional null space")
+        raise AssertionError("component does not have a one-dimensional null space")
     marks = basis[0]
     if not all(c > 0 for c in marks):
-        raise ValueError("null marks of an affine component must be positive")
+        raise AssertionError("null marks of an affine component must be positive")
     return dict(zip(idx, marks))
 
 
@@ -256,8 +241,6 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     coroots = [(coroot, m * length_ratio(datum, beta))
                for coroot, (beta, m) in zip(finite_coroots, roots)]
     system = CoxeterSystem(gcm, labels=labels)
-    if len(roots) > 0 and system.kind != "affine":
-        raise AssertionError("integral affine subsystem must be affine type")
 
     # the finite-labelled roots come first; at critical level only they move
     active = len(finite) if level_class is LevelClass.CRITICAL else len(roots)
@@ -327,19 +310,18 @@ def _bound_coords(datum: RootDatum, bound):
     return coords
 
 
-def affine_strata_index(strat: AffineStratification, bound, parabolic=()):
+def affine_strata_index(strat: AffineStratification, bound):
     """Stratification index at positive or negative level.
 
-    Elements ``w`` of the singular parabolic quotient (double quotient when
-    ``parabolic`` labels are given) whose degree -- ``lambda' - w(lambda')``
-    at positive level, ``w(lambda') - lambda'`` at negative level -- stays
-    below ``bound = (finite coroot coordinates, delta multiplicity)`` in the
-    affinized coroot cone.  Returns pairs ``(w, level_class)``.
+    Elements ``w`` of the singular parabolic quotient whose degree --
+    ``lambda' - w(lambda')`` at positive level, ``w(lambda') - lambda'`` at
+    negative level -- stays below ``bound = (finite coroot coordinates,
+    delta multiplicity)`` in the affinized coroot cone.  Returns pairs
+    ``(w, level_class)``.
 
     The orbit walk of ``(lambda', 0)``, the imaginary part as a coordinate
     that coroots move and roots do not pair with: each step adds a positive
-    coroot to the degree, so the walk stops at the bound.  A left descent s
-    of ``w`` is a negative value of s at ``w(lambda')``.
+    coroot to the degree, so the walk stops at the bound.
     """
     if strat.level_class is LevelClass.CRITICAL:
         raise ValueError(
@@ -366,11 +348,7 @@ def affine_strata_index(strat: AffineStratification, bound, parabolic=()):
     shifts = [m * strat.level for _beta, m in strat.simple_roots]
     walk = orbit_walk(datum, roots, [coroot + (c_part,) for coroot, c_part in strat.simple_coroots],
                       start, shifts, sign, keep=below)
-    kset = frozenset(parabolic)
-    tests = [(row, shift) for label, (row, _), shift
-             in zip(strat.labels, _integer_data(datum, roots), shifts) if label in kset]
-    return tuple((strat.system._element(word), strat.level_class) for word, point in walk
-                 if all(sign * _value(row, shift, point) >= 0 for row, shift in tests))
+    return tuple((strat.system._element(word), strat.level_class) for word, _point in walk)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "affine_length_from_parts",
 ]
 
-_COXETER_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 _ENUM_LIMIT = 500_000
 
 
@@ -110,17 +109,6 @@ class CoxeterSystem:
         return f"CoxeterSystem(rank={self.rank})"
 
     # -- classification ------------------------------------------------
-
-    @property
-    def coxeter_matrix(self):
-        """m[i][j] with 0 standing for an infinite bond order."""
-        n = self.rank
-        out = [[1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out[i][j] = _COXETER_FROM_PRODUCT.get(self.gcm[i][j] * self.gcm[j][i], 0)
-        return tuple(tuple(row) for row in out)
 
     def _components(self):
         n = self.rank
@@ -515,7 +503,7 @@ def longest_element(system: CoxeterSystem, J=None) -> CoxeterElement:
 # -- Weyl groups and affinizations ---------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # perfbench's isolation check reads its cache_info()
 def weyl_system(datum: RootDatum) -> CoxeterSystem:
     """The (finite) Weyl group of a root datum; labels 1..rank."""
     system = CoxeterSystem(datum.cartan_matrix,
@@ -525,7 +513,7 @@ def weyl_system(datum: RootDatum) -> CoxeterSystem:
     return system
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one system per datum, so its balls grow in place
 def affinization(datum: RootDatum) -> CoxeterSystem:
     """Untwisted affinization; node 0 is the added affine generator."""
     r = datum.rank

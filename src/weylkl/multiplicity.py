@@ -91,7 +91,7 @@ def inverse_multiplicity_matrix(strat: Stratification):
 # -- graded partition counts --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # serves the oracle, whose partition counts repeat across a block
 def _partition_memo(vectors):
     return {}
 

@@ -2,8 +2,8 @@
 
 A :class:`RootDatum` holds the combinatorics of a simple, simply connected
 group: the Cartan matrix, the paired lists of positive roots and positive
-coroots, and the half-sum of the positive coroots.  Two coordinate systems
-are used throughout the package:
+coroots, the half-sum of the positive coroots, and each positive root's
+integer pairing row.  Two coordinate systems are used throughout the package:
 
 * coroot side: coweights and coroots are integer/rational vectors in the
   basis of simple coroots (the coweight lattice is Z^rank);
@@ -96,6 +96,8 @@ class RootDatum:
     positive_roots: tuple  # root coordinates; positive_roots[k] <-> positive_coroots[k]
     positive_coroots: tuple  # coroot coordinates
     rho: Vector  # half-sum of the positive coroots, coroot coordinates
+    pairing_rows: tuple  # <positive_roots[k], mu> = pairing_rows[k] . mu, in integers
+    root_index: dict  # positive root -> its index k
 
     @property
     def simple_roots(self) -> tuple:
@@ -187,7 +189,7 @@ def _simple_reflect_coweight(cartan, i: int, vec):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one datum per type: its roots and rows are built once
 def build_root_datum(cartan_type: str, rank: int) -> RootDatum:
     """Construct the datum for a simple type A..G of the given rank."""
     if cartan_type not in _RANK_BOUNDS:
@@ -216,7 +218,10 @@ def build_root_datum(cartan_type: str, rank: int) -> RootDatum:
     roots = tuple(p[0] for p in positives)
     coroots = tuple(p[1] for p in positives)
     rho = tuple(Fraction(sum(c[j] for c in coroots), 2) for j in range(rank))
-    datum = RootDatum(cartan_type, rank, cartan, roots, coroots, rho)
+    rows = tuple(tuple(sum(cartan[j][i] * beta[i] for i in range(rank)) for j in range(rank))
+                 for beta in roots)
+    datum = RootDatum(cartan_type, rank, cartan, roots, coroots, rho, rows,
+                      {beta: k for k, beta in enumerate(roots)})
     for i in range(rank):
         if pairing(datum, roots[i], rho) != 1:
             raise AssertionError("rho must pair to 1 with each simple")

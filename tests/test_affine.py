@@ -7,6 +7,7 @@ import pytest
 
 from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.coxeter import (
+    _symmetrizer,
     affinization,
     double_coset_minimum,
     left_descents,
@@ -115,6 +116,37 @@ def test_invariant_form_b2():
         corootv = B2.positive_coroots[idx]
         for x in (e1, e2, (3, -2)):
             assert invariant_form(B2, x, corootv) == r * pairing(B2, beta, x)
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(2, 8)] + [("D", r) for r in range(4, 8)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _reference_ratio(datum, beta):
+    """|theta|^2 / |beta|^2 from the symmetrized Cartan matrix d_i * a_ij,
+    which is proportional to (alpha_i, alpha_j)."""
+    d = _symmetrizer(datum.cartan_matrix)
+    gram = [[d[i] * a for a in row] for i, row in enumerate(datum.cartan_matrix)]
+
+    def norm(vec):
+        return sum(b * gram[i][j] * c for i, b in enumerate(vec) for j, c in enumerate(vec))
+
+    return Fraction(norm(datum.highest_root), norm(beta))
+
+
+@pytest.mark.parametrize("letter,rank", REFERENCE_TYPES)
+def test_length_ratio_and_invariant_form_match_the_symmetrized_cartan_matrix(letter, rank):
+    datum = build_root_datum(letter, rank)
+    for beta in datum.positive_roots:
+        ratio = _reference_ratio(datum, beta)
+        assert length_ratio(datum, beta) == ratio
+        assert length_ratio(datum, tuple(-b for b in beta)) == ratio
+    for i, row in enumerate(datum.cartan_matrix):
+        for j, a in enumerate(row):
+            assert invariant_form(datum, datum.simple_coroots[i], datum.simple_coroots[j]) \
+                == _reference_ratio(datum, datum.simple_roots[j]) * a
 
 
 # ---------------------------------------------------------- affine endoscopy
@@ -303,21 +335,21 @@ def test_positive_negative_bijection():
 
 
 def test_strata_index_parabolic():
-    # the parabolic index is the image of the plain index under projection to
-    # minimal double-coset representatives
+    # the index is closed under projection to minimal double-coset
+    # representatives: its K-double quotient, the elements without a left
+    # descent in K, is the image of the whole index
     x = AffineCoweight.from_level((1,), 4, 2)
     s = affine_endoscopy(A1, x)
     for bound in (((1,), 1), ((2,), 1), ((3,), 2)):
         plain = [w for w, _ in affine_strata_index(s, bound)]
         for K in (frozenset({0}), frozenset({1})):
-            sub = [w for w, _ in affine_strata_index(s, bound, parabolic=K)]
+            sub = [w for w in plain if not left_descents(w) & K]
             image = {
                 double_coset_minimum(w, K, s.singular).word for w in plain
             }
             assert image == {w.word for w in sub}
             # parabolic labels act on the left, singular labels on the right
             for w in sub:
-                assert not (left_descents(w) & K)
                 assert not (right_descents(w) & s.singular)
 
 

@@ -91,6 +91,13 @@ def test_twisted_affine_kind_and_null_marks():
     assert _left_null_marks(gcm, {0, 1}) == {0: 2, 1: 1}
 
 
+@pytest.mark.parametrize("gcm", [A2.cartan_matrix, [[2, -3], [-3, 2]]],
+                         ids=["finite", "indefinite"])
+def test_null_marks_of_a_non_affine_matrix_are_an_internal_error(gcm):
+    with pytest.raises(AssertionError, match="one-dimensional null space"):
+        _left_null_marks(gcm, {0, 1})
+
+
 def test_non_symmetrizable_cartan_matrix_is_refused():
     system = CoxeterSystem([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
     with pytest.raises(ValueError, match="Cartan matrix is not symmetrizable"):

@@ -58,3 +58,27 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(f"weylkl.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names {missing} that do not exist"
+
+
+# Each module-level cache pins everything it ever returns, so a new one must
+# argue in CHANGES.md that it pays for itself, and then join this set.
+MODULE_CACHES = {
+    "rootdata.build_root_datum", "coxeter.weyl_system", "coxeter.affinization",
+    "endoscopy._endoscopic_system", "multiplicity._partition_memo",
+}
+
+
+def _cached_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    yield f"{path.stem}.{node.name}"
+
+
+def test_module_caches_are_the_argued_five():
+    found = [name for path in MODULES for name in _cached_functions(path)]
+    assert sorted(found) == sorted(MODULE_CACHES)

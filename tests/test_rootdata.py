@@ -1,6 +1,7 @@
 """Tests for exact root-datum construction and pairings."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,24 @@ def test_equal_data_hash_equal():
     b3 = build_root_datum("B", 3)
     assert endoscopic_system(dataclasses.replace(b3), (0, 1, 2)) is endoscopic_system(b3, (0, 1, 2))
     assert build_root_datum("B", 3) != build_root_datum("C", 3)
+
+
+REFERENCE_TYPES = (
+    [("A", r) for r in range(1, 8)] + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(2, 8)] + [("D", r) for r in range(4, 8)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("cartan_type,rank", REFERENCE_TYPES)
+def test_pairing_rows_and_root_index(cartan_type, rank):
+    datum = build_root_datum(cartan_type, rank)
+    assert len(datum.root_index) == len(datum.positive_roots)
+    assert all(datum.positive_roots[k] == beta for beta, k in datum.root_index.items())
+    rng = random.Random(f"pairing rows {cartan_type}{rank}")
+    for _ in range(5):
+        mu = tuple(rng.randint(-5, 5) for _ in range(rank))
+        for row, beta in zip(datum.pairing_rows, datum.positive_roots):
+            assert sum(r * m for r, m in zip(row, mu)) == pairing(datum, beta, mu)
 
 
 def test_rational_coweight():
