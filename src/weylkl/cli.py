@@ -167,6 +167,12 @@ def _cmd_roots(args) -> str:
     return _emit(args, payload, lines)
 
 
+# A table of n elements holds about 0.14 n^2 pairs, some 40 bytes each in
+# the fill and more in its text: A6 (5,040 elements, 3.6M pairs) still
+# runs, D6 (23,040 elements, about 74M pairs) would take gigabytes.
+_TABLE_LIMIT = 6_000
+
+
 def _enumerable_weyl_system(datum: RootDatum) -> CoxeterSystem:
     """The Weyl group, refused up front when it is too large to enumerate."""
     order = datum.weyl_order()
@@ -194,12 +200,21 @@ def _cmd_kl(args) -> str:
     datum = build_root_datum(args.type, args.rank)
     system = _enumerable_weyl_system(datum)
     if args.table:
-        table = kl_table(system, max_length=_nonnegative(args.length, "--length"))
+        max_length = _nonnegative(args.length, "--length")
+        size = datum.weyl_order()
+        if max_length is not None and max_length < len(datum.positive_roots):
+            size = sum(lw <= max_length
+                       for lw in system._ensure_tables(up_to=max_length)["length"])
+        if size > _TABLE_LIMIT:
+            raise ValueError(
+                f"the KL table of {datum.cartan_type}{datum.rank} would have "
+                f"{size} columns, more than the table limit of {_TABLE_LIMIT}")
+        table = kl_table(system, max_length=max_length)
         if args.format == "json":
             payload = {"pairs": [
                 {"y": _labels_text(y), "w": _labels_text(w),
-                 "coefficients": list(table[y, w])}
-                for y, w in table]}
+                 "coefficients": list(poly)}
+                for (y, w), poly in table.items()]}
             return json.dumps(payload, indent=2, sort_keys=True)
         return format_kl_table(table)
     if args.y is None or args.w is None:

@@ -30,6 +30,9 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from bisect import bisect_right
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import chain
 
 from .coxeter import CoxeterElement, CoxeterSystem
 
@@ -106,13 +109,19 @@ def _fill(system: CoxeterSystem, J, wids):
                   - sum of mu(z,v) q^{(l(w)-l(z))/2} P_{y,z}
 
     over v's mu-list: the z < v with mu(z,v) != 0 and sz < z or s stuck
-    at z.  Each distinct polynomial is stored once.
+    at z.  Each distinct polynomial is stored once.  The mu-list of w is
+    read in the same pass: a copied pair has degree at most
+    (l(w) - l(y) - 2) / 2, one below the mu coefficient, unless ty = w,
+    where P = 1 and mu = 1.
     """
     tab = system._tabs[J]
     length, lmult, fld, desc = tab["length"], tab["lmult"], tab["fld"], tab["desc"]
     kl = tab.setdefault("kl", {})
     mulists = tab.setdefault("mu", {})
     polys = tab.setdefault("polys", {_ONE: _ONE})
+    low = tab.get("low")
+    if low is None:  # low[a]: the lowest bit of the mask a
+        low = tab["low"] = [(a & -a).bit_length() - 1 for a in range(1 << system.rank)]
     for w in sorted(wids):
         if w in kl:
             continue
@@ -126,41 +135,45 @@ def _fill(system: CoxeterSystem, J, wids):
         terms = [(kl[z], mu, (lw - length[z]) // 2)  # sz < z, or s stuck at z
                  for z, mu in mulists[v] if desc[z] >> s & 1]
         ideal = set(Pv).union([lmult[y][s] for y in Pv])
+        mus = []
         for y in sorted(ideal, reverse=True)[1:]:  # w itself comes first
             ascents = dw & ~desc[y]
             if ascents:
-                col[y] = col[lmult[y][(ascents & -ascents).bit_length() - 1]]
+                ty = lmult[y][low[ascents]]
+                col[y] = col[ty]
+                if ty == w:
+                    mus.append((y, 1))
                 continue
-            ly = length[y]
-            if lw - ly <= 2:
+            gap = lw - length[y]
+            if gap <= 2:
                 col[y] = _ONE
+                if gap == 1:
+                    mus.append((y, 1))
                 continue
             sy = lmult[y][s]
             Pyv = Pv.get(y)
             if Pyv is None:  # y is below neither v nor any z < v
-                col[y] = Pv[sy]
-                continue
-            res = [0] * ((lw - ly + 3) // 2)
-            for k, c in enumerate(Pv[sy]):
-                res[k] += c
-            for k, c in enumerate(Pyv):
-                res[k + 1] += c
-            for Pz, mu, shift in terms:
-                for k, c in enumerate(Pz.get(y, ())):
-                    res[k + shift] -= mu * c
-            while res and res[-1] == 0:
-                res.pop()
-            if not res or res[0] != 1:
-                raise AssertionError("constant term of a KL polynomial must be 1")
-            if len(res) - 1 > (lw - ly - 1) // 2:
-                raise AssertionError("KL degree bound violated")
-            if min(res) < 0:
-                raise AssertionError("KL coefficients must be nonnegative")
-            res = tuple(res)
-            col[y] = polys.setdefault(res, res)
-        mus = []
-        for y, poly in col.items():
-            gap = lw - length[y]
+                poly = Pv[sy]
+            else:
+                res = [0] * ((gap + 3) // 2)
+                for k, c in enumerate(Pv[sy]):
+                    res[k] += c
+                for k, c in enumerate(Pyv):
+                    res[k + 1] += c
+                for Pz, mu, shift in terms:
+                    for k, c in enumerate(Pz.get(y, ())):
+                        res[k + shift] -= mu * c
+                while res and res[-1] == 0:
+                    res.pop()
+                if not res or res[0] != 1:
+                    raise AssertionError("constant term of a KL polynomial must be 1")
+                if len(res) - 1 > (gap - 1) // 2:
+                    raise AssertionError("KL degree bound violated")
+                if min(res) < 0:
+                    raise AssertionError("KL coefficients must be nonnegative")
+                res = tuple(res)
+                poly = polys.setdefault(res, res)
+            col[y] = poly
             if gap % 2 and len(poly) > gap // 2 and poly[gap // 2]:
                 mus.append((y, poly[gap // 2]))
         kl[w], mulists[w] = col, mus  # only whole columns are kept
@@ -218,18 +231,84 @@ def kl_table(system: CoxeterSystem, max_length=None):
 
     The J = () case of the column fill: every column of the table of W,
     which has no stuck letters, up to length ``max_length`` (required for
-    infinite systems).  Keys come in :func:`_table_order` when the labels
-    increase with the positions, as for every named system.
+    infinite systems).  The result is a read-only mapping that shares the
+    system's columns instead of copying them; ``dict(table)`` gives a
+    copy.  Keys come in :func:`_table_order` when the labels increase with
+    the positions, as for every named system.
     """
     if max_length is None and not system.is_finite:
         raise ValueError("system is infinite; max_length is required")
     tab = system._ensure_tables(up_to=max_length)
-    length, words = tab["length"], tab["words"]
-    wids = [g for g in range(tab["size"])
-            if max_length is None or length[g] <= max_length]
-    kl = _fill(system, (), wids)
-    labelled = [tuple(system.labels[p] for p in word) for word in words]
-    return {(labelled[y], labelled[w]): kl[w][y] for w in wids for y in sorted(kl[w])}
+    count = tab["size"] if max_length is None else bisect_right(tab["length"], max_length)
+    _fill(system, (), range(count))  # ids run in length order
+    return _TableView(system, count)
+
+
+class _TableView(Mapping):
+    """The filled columns 0 .. count - 1 of the table of W, read as a
+    mapping (y label word, w label word) -> P_{y,w}, in id order: w
+    ascending, then y ascending (a column is filled from the top down)."""
+
+    def __init__(self, system, count):
+        tab = system._tabs[()]
+        self._label_pos, self._labels = system._label_pos, system.labels
+        self._lmult, self._words, self._kl = tab["lmult"], tab["words"], tab["kl"]
+        self._count = count
+        self._len = sum(len(self._kl[w]) for w in range(count))
+
+    def _id(self, word):
+        """Id of a canonical label word among the filled columns, else None."""
+        pos = tuple(map(self._label_pos.get, word))
+        if None in pos:  # an unknown label
+            return None
+        g, lmult = 0, self._lmult
+        for s in reversed(pos):
+            g = lmult[g][s]
+            if g is None:  # past the walked ball
+                return None
+        return g if g < self._count and self._words[g] == pos else None
+
+    def __getitem__(self, key):
+        try:
+            yw, ww = key
+            w, y = self._id(ww), self._id(yw)
+        except (TypeError, ValueError):  # not a pair of label words
+            raise KeyError(key) from None
+        if w is None or y not in self._kl[w]:
+            raise KeyError(key)
+        return self._kl[w][y]
+
+    def __len__(self):
+        return self._len
+
+    def _items(self):
+        labels, words = self._labels, self._words
+        labelled = [tuple(labels[p] for p in words[g]) for g in range(self._count)]
+        for w in range(self._count):
+            lw = labelled[w]
+            for y, poly in reversed(self._kl[w].items()):
+                yield (labelled[y], lw), poly
+
+    def __iter__(self):
+        return (key for key, _ in self._items())
+
+    def items(self):
+        return _TableItems(self)
+
+    def values(self):
+        return _TableValues(self)
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _TableValues(ValuesView):
+    def __iter__(self):
+        table = self._mapping
+        return chain.from_iterable(reversed(table._kl[w].values())
+                                   for w in range(table._count))
 
 
 def _word_text(word_labels):
@@ -243,11 +322,13 @@ def _table_order(pair):
 
 def format_kl_table(table) -> str:
     """Deterministic text rendering of a :func:`kl_table` result."""
-    lines = []
-    for (yw, ww) in sorted(table, key=_table_order):
-        coeffs = ",".join(str(c) for c in table[(yw, ww)])
-        lines.append(f"{_word_text(yw)} | {_word_text(ww)} | {coeffs}")
-    return "\n".join(lines) + "\n"
+    pairs = sorted(table.items(), key=lambda item: _table_order(item[0]))
+    # each label word and polynomial is rendered once, not once per pair;
+    # every y is also a w, by the pair (y, y)
+    words = {ww: _word_text(ww) for ww in {ww for (_, ww), _ in pairs}}
+    coeffs = {poly: ",".join(map(str, poly)) for poly in set(table.values())}
+    return "\n".join(f"{words[yw]} | {words[ww]} | {coeffs[poly]}"
+                     for (yw, ww), poly in pairs) + "\n"
 
 
 # -- persistent cache --------------------------------------------------------

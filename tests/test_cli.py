@@ -106,6 +106,32 @@ def test_oversized_enumeration_is_refused_up_front(capsys, argv):
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "E", "--rank", "6"),                    # |W| = 51,840
+    ("--type", "D", "--rank", "6"),                    # |W| = 23,040
+    ("--type", "E", "--rank", "6", "--length", "12"),  # a ball of 8,335
+])
+def test_oversized_kl_table_is_refused_up_front(capsys, argv):
+    """|W| of E6 is below the enumeration limit, but its table would not
+    fit in memory: it is refused before anything is filled."""
+    start = time.monotonic()
+    code, out, err = run(capsys, "kl", "--table", *argv)
+    assert code == 1
+    assert out == ""
+    assert "table limit" in err
+    assert time.monotonic() - start < 1.0
+
+
+def test_kl_table_of_a_small_ball_still_answers(capsys):
+    code, out, _ = run(capsys, "kl", "--type", "E", "--rank", "6", "--table",
+                       "--length", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "- | - | 1"
+    assert all(len(line.split(" | ")[1].split(",")) <= 3 for line in lines)
+    assert len(lines) == len(kl_table(weyl_system(build_root_datum("E", 6)), max_length=3))
+
+
 def test_enumeration_limit_exits_one_on_any_path(capsys, monkeypatch):
     monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 5)
     # affine subsystems are built afresh on every call, so nothing is cached;

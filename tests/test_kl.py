@@ -1,28 +1,33 @@
-"""Tests for Kazhdan-Lusztig polynomials, tables, and the file cache."""
+"""Tests for Kazhdan-Lusztig polynomials, tables, mu-lists and the file cache."""
 
+import json
 import os
 import random
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import weylkl
-from weylkl.rootdata import build_root_datum
+from weylkl.rootdata import RationalCoweight, build_root_datum
 from weylkl.coxeter import (
     CoxeterSystem,
+    _positions,
     affinization,
     bruhat_leq,
     longest_element,
     parabolic_quotient,
     weyl_system,
 )
+from weylkl.endoscopy import stratify
 from weylkl.kl import (
     CACHE_ENV_VAR,
     KLFileCache,
+    _fill,
     _table_order,
     file_cache_from_env,
     kl_mu,
@@ -30,6 +35,7 @@ from weylkl.kl import (
     kl_table,
     poly_string,
 )
+from weylkl.multiplicity import multiplicity_matrix
 
 
 def all_elements(system):
@@ -280,3 +286,141 @@ def test_corrupt_mu_list_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "AssertionError: KL" in proc.stderr
+
+
+# -- the table view and the mu-lists -------------------------------------------
+
+FINITE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4), ("A", 5)]
+SMALL_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "small_pool.json"
+# the heavy strata-sweep bases: four big-W blocks, two near-regular ones
+HEAVY_BASES = [("F", 4, (0, 0, 3, 3), 1), ("D", 5, (0, 0, 0, 2, 2), 1),
+               ("A", 5, (2, 1, 3, 2, 1), 1), ("A", 6, (6, 5, 4, 3, 2, 1), 7),
+               ("B", 4, (2, 3, 1, 1), 1), ("A", 5, (3, 2, 1, 3, 1), 1)]
+
+
+def _eager_table(system, max_length=None):
+    """The labelled dict that kl_table once built, from the filled columns."""
+    tab = system._tabs[()]
+    kl = tab["kl"]
+    wids = [g for g in range(tab["size"])
+            if max_length is None or tab["length"][g] <= max_length]
+    labelled = [tuple(system.labels[p] for p in word) for word in tab["words"]]
+    return {(labelled[y], labelled[w]): kl[w][y] for w in wids for y in sorted(kl[w])}
+
+
+def _table_systems():
+    for letter, rank in FINITE_TYPES:
+        cartan = build_root_datum(letter, rank).cartan_matrix
+        yield pytest.param(CoxeterSystem(cartan), None, id=f"{letter}{rank}")
+    for rank, max_length in ((1, 6), (2, 5)):
+        aff = affinization(build_root_datum("A", rank))
+        yield pytest.param(CoxeterSystem(aff.gcm, labels=aff.labels), max_length,
+                           id=f"A{rank}~-ball-{max_length}")
+
+
+@pytest.mark.parametrize("system,max_length", list(_table_systems()))
+def test_table_view_matches_the_eager_dict(system, max_length):
+    table = kl_table(system, max_length=max_length)
+    reference = _eager_table(system, max_length)
+    assert dict(table) == reference
+    assert list(table) == list(reference)
+    assert list(table.items()) == list(reference.items())
+    assert list(table.values()) == list(reference.values())
+    assert len(table) == len(reference) == len(table.values())
+    assert table == reference and reference == table
+
+    words = [ww for _, ww in reference]
+    longest = max(words, key=len)
+    first = system.labels[0]
+    missing = [
+        ((), longest + (longest[-1], longest[-1])),  # a word that is not reduced
+        ((first, first), longest),
+        ((), (99,)),                                 # an unknown label
+        ((99,), longest),
+        (longest, ()),                               # y not below w
+        "not a pair",
+    ]
+    if system.is_finite and system.rank > 1:  # a reduced word that is not canonical
+        w0 = longest_element(system)
+        last = system.generator(system.labels[-1])
+        other = (system.labels[-1],) + (last * w0).word_labels
+        assert other != w0.word_labels
+        missing.append(((), other))
+    if max_length is not None:  # w longer than the table, in canonical form
+        cyclic = tuple(system.labels[i % system.rank] for i in range(max_length + 2))
+        beyond = system.element(cyclic[:max_length + 1])
+        assert beyond.length == max_length + 1
+        missing.append(((), beyond.word_labels))
+    for key in missing:
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
+        assert key not in table
+
+    if max_length is not None:
+        w = system.element(cyclic)
+        assert w.length == max_length + 2
+        kl_polynomial(system, system.identity, w)  # extends the same ball
+        assert system._tabs[()]["max_len"] > max_length
+        assert dict(table) == reference and list(table) == list(reference)
+        assert len(table) == len(reference)
+        for key in missing:
+            assert key not in table
+        assert ((), w.word_labels) not in table
+
+
+def _mu_reference(tab):
+    """mu-lists read off the whole columns: odd gap, top coefficient nonzero."""
+    length = tab["length"]
+    out = {}
+    for w, col in tab["kl"].items():
+        out[w] = []
+        for y, poly in col.items():
+            gap = length[w] - length[y]
+            if gap % 2 and len(poly) > gap // 2 and poly[gap // 2]:
+                out[w].append((y, poly[gap // 2]))
+    return out
+
+
+def test_mu_lists_match_the_whole_columns():
+    for letter, rank in FINITE_TYPES:
+        system = CoxeterSystem(build_root_datum(letter, rank).cartan_matrix)
+        kl_table(system)
+        tab = system._tabs[()]
+        assert tab["mu"] == _mu_reference(tab), f"{letter}{rank}"
+    aff = affinization(build_root_datum("A", 2))
+    ball = CoxeterSystem(aff.gcm, labels=aff.labels)
+    kl_table(ball, max_length=7)
+    assert ball._tabs[()]["mu"] == _mu_reference(ball._tabs[()])
+
+    pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+    blocks = [(e["type"], e["rank"], tuple(e["mu"]), e["n"])
+              for e in random.Random(16).sample(pool, 200)]
+    checked = 0
+    for letter, rank, mu, n in blocks + HEAVY_BASES:
+        strat = stratify(build_root_datum(letter, rank), RationalCoweight(mu, n))
+        multiplicity_matrix(strat)
+        tab = strat.system._tabs[tuple(_positions(strat.system, strat.singular))]
+        assert tab["mu"] == _mu_reference(tab), (letter, rank, mu, n)
+        checked += sum(map(len, tab["mu"].values()))
+    assert checked
+
+
+def test_table_adds_no_copy_to_the_fill():
+    """A table shares the fill's columns: on A5 (98,407 pairs) its peak
+    allocation stays within 1 MB of the fill's own."""
+    cartan = build_root_datum("A", 5).cartan_matrix
+    peaks = []
+    for run in (lambda system: _fill(system, (), range(system._tabs[()]["size"])),
+                kl_table):
+        system = CoxeterSystem(cartan)
+        system._ensure_tables()
+        tracemalloc.start()
+        try:
+            run(system)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fill_peak, table_peak = peaks
+    assert table_peak - fill_peak < 1 << 20, peaks
