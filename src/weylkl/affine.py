@@ -15,7 +15,11 @@ critical classes; each class comes with its own stratification index:
 
 Everything is exact: finite parts are `fractions.Fraction` vectors and the
 affine real roots are pairs ``(beta, m)`` of a finite root and an integer
-delta-coefficient.
+delta-coefficient.  Both indices read the table of the singular quotient
+W^J, one element representation with the finite strata: it is walked
+level by level along ``fld``, with the values of the simple roots at
+``w(lambda')`` and the degree carried in integers, and the walk stops at
+the first level with nothing inside the bound.
 
 The simple roots of the integral affine roots are found by Dyer's criterion
 (:func:`weylkl.endoscopy.simple_system`: gamma is simple iff s_gamma sends
@@ -34,9 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
-from .endoscopy import _integer_point, _value
-from .endoscopy import orbit_walk, simple_system, straighten, subsystem_cartan
+from .coxeter import CoxeterElement, CoxeterSystem, _positions, parabolic_quotient
+from .endoscopy import _integer_point, _value, simple_system, straighten, subsystem_cartan
 from .linalg import kernel_basis
 from .rootdata import RootDatum
 
@@ -310,6 +313,54 @@ def _bound_coords(datum: RootDatum, bound):
     return coords
 
 
+def _start_values(datum: RootDatum, roots, lam, shifts=None, sign=1):
+    """The integers ``sign * (<roots[i], lam> + shifts[i])``: integral roots
+    pair integrally with ``lam``."""
+    rows, d, point, shifts = _integer_point(datum, roots, lam, shifts)
+    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
+    if any(value % d for value in values):
+        raise AssertionError("integral pairings must stay integral")
+    return tuple(value // d for value in values)
+
+
+def _walk_below(system: CoxeterSystem, J, values, steps, bound):
+    """``{id: degree}`` for the ids of the table of W^J whose degree is at
+    most ``bound`` componentwise, in id order.
+
+    ``values`` are the start values of :func:`_start_values`, positive off
+    J and zero on J.  Along the table, x = s*g with s = fld[x] and
+    v = values(g)[s] > 0, and degree(x) = degree(g) + v * steps[s].  The
+    values pair roots with a coweight, so they move by the transpose of the
+    weight rule of :meth:`~weylkl.coxeter.CoxeterSystem._ensure_tables`:
+    values(x)[j] = values(g)[j] - v * gcm[s][j].  Degrees only grow along
+    the table, so x is kept when g is, and its degree is inside the bound;
+    the ball is walked level by level and the walk stops at the first level
+    that keeps nothing.
+    """
+    gcm = system.gcm
+    kept = {0: (values, (0,) * len(bound))}
+    x, level, found = 1, 0, True
+    while found:
+        level += 1
+        tab = system._ensure_tables(up_to=level, J=J)
+        length, fld, lmult = tab["length"], tab["fld"], tab["lmult"]
+        found = False
+        while x < len(length) and length[x] == level:
+            s = fld[x]
+            parent = kept.get(lmult[x][s])
+            if parent is not None:
+                vals, degree = parent
+                v = vals[s]
+                if v <= 0:
+                    raise AssertionError("lambda' must be dominant with stabilizer W_J")
+                degree = tuple(a + v * b for a, b in zip(degree, steps[s]))
+                if all(a <= b for a, b in zip(degree, bound)):
+                    kept[x] = (tuple(a - v * c for a, c in zip(vals, gcm[s])), degree)
+                    found = True
+            x += 1
+    return {x: degree for x, (_vals, degree) in kept.items()}
+
+
 def affine_strata_index(strat: AffineStratification, bound):
     """Stratification index at positive or negative level.
 
@@ -317,11 +368,11 @@ def affine_strata_index(strat: AffineStratification, bound):
     ``lambda' - w(lambda')`` at positive level, ``w(lambda') - lambda'`` at
     negative level -- stays below ``bound = (finite coroot coordinates,
     delta multiplicity)`` in the affinized coroot cone.  Returns pairs
-    ``(w, level_class)``.
+    ``(w, level_class)``, in (length, word) order.
 
-    The orbit walk of ``(lambda', 0)``, the imaginary part as a coordinate
-    that coroots move and roots do not pair with: each step adds a positive
-    coroot to the degree, so the walk stops at the bound.
+    Read off the ball of the table of W^J (:func:`_walk_below`): each step
+    s*g adds a positive multiple of the coroot of the simple root s, the
+    imaginary part included, to the degree, so the walk stops at the bound.
     """
     if strat.level_class is LevelClass.CRITICAL:
         raise ValueError(
@@ -330,25 +381,18 @@ def affine_strata_index(strat: AffineStratification, bound):
         raise ValueError("a degree bound is required: the group is infinite")
     datum = strat.datum
     bound_c = _bound_coords(datum, bound)
+    steps = [_degree_coords(datum, coroot, c_part) for coroot, c_part in strat.simple_coroots]
+    if None in steps:
+        raise AssertionError(
+            "positive integral coroots must lie in the affine coroot cone")
     sign = 1 if strat.level_class is LevelClass.POSITIVE else -1
-    for coroot, c_part in strat.simple_coroots:
-        if _degree_coords(datum, coroot, c_part) is None:
-            raise AssertionError(
-                "positive integral coroots must lie in the affine coroot cone")
-    start = tuple(strat.lambda_prime) + (0,)
-
-    def below(point):
-        degree = [sign * (a - b) for a, b in zip(start, point)]
-        coords = _degree_coords(datum, degree[:-1], degree[-1])
-        if coords is None:
-            raise AssertionError("integral pairings must stay integral")
-        return all(c <= b for c, b in zip(coords, bound_c))
-
-    roots = [beta for beta, _m in strat.simple_roots]
-    shifts = [m * strat.level for _beta, m in strat.simple_roots]
-    walk = orbit_walk(datum, roots, [coroot + (c_part,) for coroot, c_part in strat.simple_coroots],
-                      start, shifts, sign, keep=below)
-    return tuple((strat.system._element(word), strat.level_class) for word, _point in walk)
+    values = _start_values(datum, [beta for beta, _m in strat.simple_roots], strat.lambda_prime,
+                           [m * strat.level for _beta, m in strat.simple_roots], sign)
+    system = strat.system
+    J = tuple(_positions(system, strat.singular))
+    kept = _walk_below(system, J, values, steps, bound_c)
+    words = system._tabs[J]["words"]
+    return tuple((system._element(words[x]), strat.level_class) for x in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +410,11 @@ def critical_strata_index(strat: AffineStratification, beta):
     minimal imaginary coroot.  ``alpha`` is returned as a coefficient tuple
     over the finite labels.
 
-    The ``w`` are read off the orbit walk of ``lambda'`` under the
-    finite-labelled simple roots, which come first; the finite degree only
-    grows along the walk, so it stops past ``beta``.
+    The ``w`` are read off the table of W^J of the finite-labelled simple
+    roots, which come first: their block of the Cartan matrix is a finite
+    system whose positions are those of ``strat.system``.  The finite
+    degree only grows along the table, so the walk stops past ``beta``
+    (:func:`_walk_below`).
     """
     if strat.level_class is not LevelClass.CRITICAL:
         raise ValueError("the exact degree equation applies at critical level")
@@ -410,13 +456,12 @@ def critical_strata_index(strat: AffineStratification, beta):
         return ()
 
     beta_target = tuple(Fraction(c) for c in beta_fin)
-
-    def below(point):
-        return all(a - b <= t for a, b, t in zip(lam, point, beta_target))
-
     f = len(fin_labels)
-    walk = orbit_walk(datum, [root for root, _m in strat.simple_roots[:f]],
-                      [coroot for coroot, _c in strat.simple_coroots[:f]], lam, keep=below)
-    return tuple((strat.system._element(word), alpha) for word, point in walk
-                 if tuple(a - b for a, b in zip(lam, point)) == beta_target
-                 for alpha in alphas)
+    finite = CoxeterSystem([row[:f] for row in strat.system.gcm[:f]])
+    J = tuple(pos for pos, label in enumerate(fin_labels) if label in strat.singular)
+    values = _start_values(datum, [root for root, _m in strat.simple_roots[:f]], lam)
+    kept = _walk_below(finite, J, values,
+                       [coroot for coroot, _c in strat.simple_coroots[:f]], beta_target)
+    words = finite._tabs[J]["words"]
+    return tuple((strat.system._element(words[x]), alpha) for x, degree in kept.items()
+                 if degree == beta_target for alpha in alphas)

@@ -6,13 +6,12 @@ every system this package needs: finite Weyl groups, reflection subgroups
 presented by their own Cartan data, and affinizations.  Elements are stored
 as canonical reduced words: the lexicographically least reduced expression.
 
-Every canonical word, descent and translation is read off the root-lattice
-action.  An element w is given by its columns w^{-1}(alpha_j); s_i is a left
-descent exactly when w^{-1}(alpha_i) is negative, and one routine,
+Every canonical word and descent is read off the root-lattice action.  An
+element w is given by its columns w^{-1}(alpha_j); s_i is a left descent
+exactly when w^{-1}(alpha_i) is negative, and one routine,
 ``CoxeterSystem._descend``, strips the smallest left descent until none is
 left, spelling the canonical word.  Descents, parabolic projections, double
-coset minima, the Bruhat order, translations t_mu and the finite parts of
-affine elements all go through it.
+coset minima and the Bruhat order all go through it.
 
 Parabolic quotients W^J (J = () gives W) of finite systems, and
 length-bounded balls of affine ones, are walked lazily into tables along
@@ -31,12 +30,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .linalg import eliminate, kernel_basis
-from .rootdata import RootDatum, build_root_datum, pairing, reflect, translation_length
+from .rootdata import RootDatum, build_root_datum, pairing
 
 __all__ = [
     "CoxeterSystem",
@@ -51,10 +49,6 @@ __all__ = [
     "parabolic_project",
     "double_coset_minimum",
     "longest_element",
-    "coweight_action",
-    "translation_element",
-    "affine_decompose",
-    "affine_length_from_parts",
 ]
 
 _ENUM_LIMIT = 500_000
@@ -531,86 +525,3 @@ def affinization(datum: RootDatum) -> CoxeterSystem:
                            tag=f"{datum.cartan_type}~ {datum.rank}",
                            affine_of=datum)
     return system
-
-
-def coweight_action(w: CoxeterElement, vec):
-    """Action of a Weyl-system element on a coweight (coroot coordinates)."""
-    datum = getattr(w.system, "weyl_of", None)
-    if datum is None:
-        raise ValueError("coweight_action requires an element of a Weyl system")
-    vec = tuple(Fraction(x) for x in vec)
-    for p in reversed(w.word):
-        vec = reflect(datum, p, vec, side="coweight")
-    return vec
-
-
-def translation_element(affsys: CoxeterSystem, mu) -> CoxeterElement:
-    """The translation t_mu as an element of the affinization.
-
-    Read off the columns of t_mu^{-1}, which sends beta + m*delta to
-    beta + (m + <beta, mu>) delta, where delta = alpha_0 + theta.
-    """
-    datum = affsys.affine_of
-    if datum is None:
-        raise ValueError("translation elements require an affinization system")
-    mu = tuple(int(m) for m in mu)
-    if len(mu) != datum.rank:
-        raise ValueError("coweight length does not match the rank")
-    delta = (1,) + tuple(datum.highest_root)
-    shifts = [-pairing(datum, datum.highest_root, mu)]  # alpha_0 = delta - theta
-    shifts += [pairing(datum, alpha, mu) for alpha in datum.simple_roots]
-    cols = tuple(
-        tuple(e + int(shift) * d for e, d in zip(unit, delta))
-        for unit, shift in zip(affsys._unit_columns, shifts))
-    expected = int(translation_length(datum, mu))
-    word = affsys._descend(cols, expected)[0]
-    if len(word) != expected:
-        raise AssertionError("translation word disagrees with the length formula")
-    return affsys._element(word)
-
-
-def affine_decompose(w: CoxeterElement):
-    """(finite part, translation part) of an affinization element.
-
-    The element acts on coweights as v -> wbar(v) + mu; returns
-    (wbar as an element of the finite Weyl system, mu as an integer tuple).
-    With alpha_0 = delta - theta, the finite parts of the columns
-    w^{-1}(alpha_j), j >= 1, are the columns of wbar; mu = w(0), where
-    s_0 acts as v -> s_theta(v) + theta^vee.
-    """
-    affsys = w.system
-    datum = affsys.affine_of
-    if datum is None:
-        raise ValueError("affine_decompose requires an element of an affinization")
-    theta, theta_vee = datum.highest_root, datum.highest_root_coroot
-    cols = tuple(tuple(c - col[0] * t for c, t in zip(col[1:], theta))
-                 for col in affsys._columns(w.word)[1:])
-    fin = weyl_system(datum)
-    wbar = fin._element(fin._descend(cols, len(datum.positive_roots))[0])
-    theta_row = [sum(a * t for a, t in zip(row, theta)) for row in datum.cartan_matrix]
-    mu = (0,) * datum.rank
-    for p in reversed(w.word):  # positions equal labels in affinizations
-        if p == 0:
-            shift = 1 - sum(r * m for r, m in zip(theta_row, mu))
-            mu = tuple(m + shift * t for m, t in zip(mu, theta_vee))
-        else:
-            mu = reflect(datum, p - 1, mu, side="coweight")
-    return wbar, mu
-
-
-def affine_length_from_parts(datum: RootDatum, wbar: CoxeterElement, mu) -> int:
-    """Length of (wbar, mu) by counting affine inversions (independent model)."""
-    total = 0
-    mu = tuple(Fraction(m) for m in mu)
-    for root in datum.positive_roots:
-        for gamma, j0 in ((root, 0), (tuple(-c for c in root), 1)):
-            wg = wbar.apply_to_root(gamma)
-            m = pairing(datum, wg, mu)
-            lo = Fraction(j0)
-            if m > lo:
-                if m.denominator != 1:
-                    raise AssertionError("affine inversion counts must be integral")
-                total += int(m - lo)
-            if m >= lo and all(c <= 0 for c in wg):
-                total += 1
-    return total

@@ -14,15 +14,14 @@ This module computes:
   ``lam'``, and the minimal coset representatives modulo those generators,
   which index the strata attached to ``lam``,
 * the orbit points ``w(lam')``, read along the table of those
-  representatives, for the degree filters, highest weights and dimensions,
-  and the orbit walk (:func:`orbit_walk`), cut off by a degree bound, for
-  the affine strata.
+  representatives, for the degree filters, highest weights and dimensions.
 
 The stratification runs on integer numerators, and only its outputs are
 Fractions: one straightening pass over the numerators ``mu`` of ``mu/n``
 (:func:`straighten`) gives ``lam'``, the minimal mover and the singular
 generators, the positions whose value vanishes at ``lam'``; the orbit
-points are numerators over one common denominator as well.
+points are numerators over one common denominator as well.  The affine
+strata (:mod:`weylkl.affine`) read the table of their own W^J the same way.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -57,8 +56,6 @@ __all__ = [
     "straighten",
     "stratify",
     "coweight_orbit_action",
-    "orbit_walk",
-    "subgroup_matrices",
     "strata_for_degree",
 ]
 
@@ -189,22 +186,6 @@ def coweight_orbit_action(strat: Stratification, w: CoxeterElement, vec):
     return vec
 
 
-def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
-    """Ambient coweight-action matrices of the whole reflection subgroup."""
-    simple_indices = tuple(simple_indices)
-    system = _endoscopic_system(datum, simple_indices)
-    roots = [datum.positive_roots[k] for k in simple_indices]
-    coroots = [datum.positive_coroots[k] for k in simple_indices]
-    n = datum.rank
-    identity = tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
-    tab = system._ensure_tables()
-    matrices = [identity]
-    for g, s in enumerate(tab["fld"][1:], 1):  # g = s_s * h with h shorter
-        matrices.append(tuple(reflect_coweight_by_root(datum, roots[s], coroots[s], col)
-                              for col in matrices[tab["lmult"][g][s]]))
-    return frozenset(matrices)
-
-
 def _integer_point(datum: RootDatum, roots, vec, shifts):
     """The integer rows of ``roots`` (:func:`_integer_data`), one common
     denominator ``d`` of ``vec`` and ``shifts``, and their numerators over
@@ -266,52 +247,6 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
         word.append(i)
         point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
     raise AssertionError("straightening did not terminate")
-
-
-def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
-               keep=None):
-    """Pairs ``(word, w(start))`` for the minimal coset representatives w
-    modulo the stabilizer of ``start``, sorted by (length, word); words are
-    positions into ``roots`` and points Fraction vectors.
-
-    ``start`` must be dominant for the values
-    ``sign * (<roots[i], v> + shifts[i])`` of :func:`straighten`.  The
-    representatives are in bijection with the orbit (Deodhar's lemma;
-    Bjorner-Brenti, GTM 231, ch. 2): s_i * w is the next one exactly when
-    value i is positive at w(start), and its canonical word is the least
-    ``(i,) + word(w)`` found.  Coroots may carry coordinates past the roots'
-    (an imaginary part); they move but do not pair.  ``keep(point)`` may
-    refuse a point, and must then refuse everything above it too, as a
-    bound on the degree ``start - point`` does.  The walk itself runs on
-    integer numerators.
-    """
-    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
-    if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
-        raise ValueError("the start of an orbit walk must be dominant")
-
-    def fractions(point):
-        return tuple(Fraction(c, d) for c in point)
-
-    out = []
-    level = {point: ()} if keep is None or keep(fractions(point)) else {}
-    while level:
-        if len(out) + len(level) > coxeter._ENUM_LIMIT:
-            raise ValueError(
-                f"enumeration limit exceeded: more than {coxeter._ENUM_LIMIT} elements")
-        ordered = sorted(level.items(), key=lambda item: item[1])
-        out += [(word, fractions(point)) for point, word in ordered]
-        nxt = {}
-        for i, (row, shift, coroot) in enumerate(zip(rows, shifts, coroots)):
-            for point, word in ordered:
-                value = _value(row, shift, point)
-                if sign * value <= 0:
-                    continue
-                image = tuple(c - value * cr for c, cr in zip(point, coroot))
-                if image not in nxt:  # least letter first, then least word
-                    kept = keep is None or keep(fractions(image))
-                    nxt[image] = (i,) + word if kept else None
-        level = {image: word for image, word in nxt.items() if word is not None}
-    return out
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:

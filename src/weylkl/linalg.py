@@ -106,17 +106,22 @@ def kernel_basis(mat):
 def invert_unitriangular(mat):
     """Inverse of an upper unitriangular integer matrix, by back substitution.
 
-    Row i of the inverse is e_i minus mat[i][k] times row k (zero left of
-    k), for k > i; any other matrix raises ``ValueError``.
+    Row i of the inverse is e_i minus mat[i][k] times row k, for k > i,
+    updated in place over the nonzero columns of row k, which is finished
+    by then; any other matrix raises ``ValueError``.
     """
     n = len(mat)
     if any(len(row) != n or row[i] != 1 or any(row[:i]) for i, row in enumerate(mat)):
         raise ValueError("matrix is not upper unitriangular")
     inverse = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+    support = [[i] for i in range(n)]  # the nonzero columns of each finished row
     for i in range(n - 2, -1, -1):
-        row = inverse[i]
+        row, coeffs = inverse[i], mat[i]
         for k in range(i + 1, n):
-            c = mat[i][k]
+            c = coeffs[k]
             if c:
-                row[k:] = [a - c * b for a, b in zip(row[k:], inverse[k][k:])]
+                other = inverse[k]
+                for j in support[k]:
+                    row[j] -= c * other[j]
+        support[i] = [j for j in range(i, n) if row[j]]
     return inverse

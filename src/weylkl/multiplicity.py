@@ -73,14 +73,24 @@ def multiplicity_matrix(strat: Stratification):
     """Rows w, columns y (index-set order): [Verma(w) : simple(y)].
 
     Upper unitriangular: the index set is sorted by length, and the entry
-    vanishes unless w is below y in the Bruhat order.
+    vanishes unless w is below y in the Bruhat order.  Built from the filled
+    columns, {w <= y} for each y, evaluating each distinct polynomial at
+    q = 1 once.
     """
     system = strat.system
     J = tuple(_positions(system, strat.singular))
     system._ensure_tables(J=J)
-    ids = range(len(strat.index_set))
-    kl = _fill(system, J, ids)
-    return [[sum(kl[y].get(w, ())) for y in ids] for w in ids]
+    n = len(strat.index_set)
+    kl = _fill(system, J, range(n))
+    matrix = [[0] * n for _ in range(n)]
+    values = {}
+    for y in range(n):
+        for w, poly in kl[y].items():
+            value = values.get(poly)
+            if value is None:
+                value = values[poly] = sum(poly)
+            matrix[w][y] = value
+    return matrix
 
 
 def inverse_multiplicity_matrix(strat: Stratification):

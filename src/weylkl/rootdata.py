@@ -35,7 +35,6 @@ __all__ = [
     "reflect_coweight_by_root",
     "dominance_compare",
     "coroot_height",
-    "translation_length",
 ]
 
 Vector = Tuple[Fraction, ...]
@@ -273,8 +272,3 @@ def dominance_compare(beta: Sequence, alpha: Sequence) -> bool:
 def coroot_height(vec: Sequence) -> Fraction:
     """Sum of simple-coroot coordinates."""
     return sum((Fraction(x) for x in vec), Fraction(0))
-
-
-def translation_length(datum: RootDatum, mu: Sequence) -> Fraction:
-    """sum_{alpha > 0} |<alpha, mu>|; the affine length of the translation by mu."""
-    return sum(abs(pairing(datum, alpha, mu)) for alpha in datum.positive_roots)

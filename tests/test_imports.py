@@ -1,6 +1,8 @@
-"""The package loads its names on first use, and a command of the CLI loads
-only the modules it runs."""
+"""The package loads its names on first use, a command of the CLI loads
+only the modules it runs, and every name the benchmark imports exists."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 import weylkl
 
 SRC = Path(weylkl.__file__).parents[1]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # modules that the roots, weyl and kl commands have no use for
 SUBCOMMAND_MODULES = {"weylkl.endoscopy", "weylkl.multiplicity", "weylkl.affine",
@@ -65,3 +68,57 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         weylkl.no_such_name
     assert not hasattr(weylkl, "no_such_name")
+
+
+def _resolve(module, name):
+    """``module.name``: an attribute, or else a submodule."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        return importlib.import_module(f"{module}.{name}")
+
+
+def _benchmark_names(path):
+    """(line, module, name) for each name that ``path`` takes from weylkl: the
+    names of ``from weylkl... import`` and the attributes read on a name such
+    an import (or ``import weylkl...``) binds to a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weylkl":
+            for alias in node.names:
+                names.append((node.lineno, node.module, alias.name))
+                if SRC.joinpath(*node.module.split("."), f"{alias.name}.py").is_file():
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.split(".")[0] == "weylkl":
+                    modules[alias.asname] = alias.name
+                elif alias.name.split(".")[0] == "weylkl":
+                    modules["weylkl"] = "weylkl"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.append((node.lineno, modules[node.value.id], node.attr))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda path: path.name)
+def test_every_name_the_benchmark_imports_resolves(path):
+    """The benchmark may not change with the library, so a name it reads can
+    leave ``src`` only together with a benchmark change."""
+    missing = []
+    for line, module, name in _benchmark_names(path):
+        try:
+            _resolve(module, name)
+        except (AttributeError, ImportError):
+            missing.append(f"line {line}: {module}.{name}")
+    assert not missing, f"{path.name} reads names that do not exist: {missing}"
+
+
+def test_the_benchmark_names_include_what_make_reference_imports():
+    found = {(module, name) for _line, module, name
+             in _benchmark_names(PERFBENCH / "make_reference.py")}
+    assert ("weylkl.endoscopy", "coweight_orbit_action") in found
+    found = {(module, name) for _line, module, name in _benchmark_names(PERFBENCH / "worker.py")}
+    assert ("weylkl.affine", "affine_strata_index") in found

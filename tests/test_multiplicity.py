@@ -11,7 +11,7 @@ import pytest
 import weylkl.multiplicity
 from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.coxeter import bruhat_leq, longest_element, multiply
-from weylkl.endoscopy import coweight_orbit_action, orbit_walk, stratify
+from weylkl.endoscopy import coweight_orbit_action, stratify
 from weylkl.kl import kl_polynomial
 from weylkl.multiplicity import (
     _height_counts,
@@ -26,6 +26,7 @@ from weylkl.multiplicity import (
     simple_module_dimension,
     simple_weight_multiplicity,
 )
+from reference import orbit_walk
 
 A2 = build_root_datum("A", 2)
 B2 = build_root_datum("B", 2)

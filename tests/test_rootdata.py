@@ -15,8 +15,8 @@ from weylkl.rootdata import (
     pairing,
     reflect,
     reflect_coweight_by_root,
-    translation_length,
 )
+from reference import translation_length
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
