@@ -4,7 +4,8 @@ Coweights are entered as ``c1,c2,…/n`` in simple-coroot coordinates (the
 denominator defaults to 1), reduced words as comma-separated generator
 labels with ``e`` for the identity; the extra affine generator carries the
 label 0.  Domain errors exit with status 1 and the originating module's
-message; argument errors exit with status 2.  A handler imports the
+message; argument errors exit with status 2; a reader that closes the
+output pipe early leaves status 1 and no traceback.  A handler imports the
 modules beyond ``rootdata``, ``coxeter`` and ``kl`` that it calls, so a
 command loads only what it runs.
 """
@@ -637,7 +638,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader went away: point stdout at devnull so that the
+            # interpreter's flush at exit does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0
 
 

@@ -1,23 +1,24 @@
-"""Coxeter systems realized on integer root lattices.
+"""Coxeter systems realized on integer weight lattices.
 
 A :class:`CoxeterSystem` is backed by a generalized Cartan matrix acting on
-its own root lattice (``gcm[i][j] = <alpha_j, alpha_i^vee>``), which covers
+its own weight lattice (``gcm[i][j] = <alpha_j, alpha_i^vee>``), which covers
 every system this package needs: finite Weyl groups, reflection subgroups
 presented by their own Cartan data, and affinizations.  Elements are stored
 as canonical reduced words: the lexicographically least reduced expression.
 
-Every canonical word and descent is read off the root-lattice action.  An
-element w is given by its columns w^{-1}(alpha_j); s_i is a left descent
-exactly when w^{-1}(alpha_i) is negative, and one routine,
-``CoxeterSystem._descend``, strips the smallest left descent until none is
-left, spelling the canonical word.  Descents, parabolic projections, double
-coset minima and the Bruhat order all go through it.
+Every canonical word and descent is read off one action: an element w is
+given by the point w(rho) in fundamental-weight coordinates, which the
+tables walk too.  rho lies inside the fundamental chamber, so its orbit is
+free and the point determines w; s_i is a left descent of w exactly when
+w(rho)_i < 0.  One routine, ``CoxeterSystem._descend``, strips the smallest
+left descent until none is left, spelling the canonical word.  Descents,
+parabolic projections, double coset minima and the Bruhat order all go
+through it.
 
 Parabolic quotients W^J (J = () gives W) of finite systems, and
 length-bounded balls of affine ones, are walked lazily into tables along
 the orbit of rho_J, one table per J, with left products, canonical words
-and masks of left descents and stuck letters; once the table of a finite W
-is complete, canonical words are read from it in O(length).
+and masks of left descents and stuck letters.
 
 >>> system = weyl_system(build_root_datum("A", 2))
 >>> w0 = longest_element(system)
@@ -32,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from .linalg import eliminate, kernel_basis
-from .rootdata import RootDatum, build_root_datum, pairing
+from .rootdata import RootDatum, _simple_reflect_root, build_root_datum, pairing
 
 __all__ = [
     "CoxeterSystem",
@@ -79,10 +81,7 @@ class CoxeterSystem:
         self.affine_of = affine_of  # RootDatum when this is an affinization
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
         self._hash = hash((self.gcm, self.labels))
-        self._unit_columns = tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n))
-        self._bonds = tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in gcm)
+        self._alphas = tuple(zip(*gcm))  # alpha_i in fundamental-weight coordinates
         self._tabs = {}  # enumeration tables, one per parabolic J
         self._kind = None
 
@@ -149,60 +148,50 @@ class CoxeterSystem:
     def is_finite(self):
         return self.kind == "finite"
 
-    # -- the root-lattice action ------------------------------------------
+    # -- the point action ---------------------------------------------------
     #
-    # An element w is read off its columns w^{-1}(alpha_j), j = 0..rank-1,
-    # each in root coordinates.  s_i is a left descent of w exactly when
-    # w^{-1}(alpha_i) is negative (Bjorner-Brenti, GTM 231, ch. 4), and the
-    # columns of s_i*w are w^{-1}(s_i alpha_j) = c_j - gcm[i][j] * c_i.
+    # An element w is read off its point w(rho) in fundamental-weight
+    # coordinates, rho = (1, ..., 1).  v_i = <w(rho), alpha_i^vee> is the
+    # height of the coroot w^{-1}(alpha_i^vee), so s_i is a left descent of w
+    # exactly when v_i < 0 (Kac, Infinite-dimensional Lie algebras, 3.12).
 
-    def _reflect_columns(self, cols, i):
-        """Columns of s_i * w from the columns of w."""
-        ci = cols[i]
-        out = list(cols)
-        for j, a in self._bonds[i]:  # j == i gives c_i - 2 c_i = -c_i
-            out[j] = tuple(x - a * y for x, y in zip(cols[j], ci))
-        return tuple(out)
+    def _reflect(self, point, i):
+        """s_i on a point in fundamental-weight coordinates:
+        (s_i v)_j = v_j - v_i * gcm[j][i]."""
+        return tuple(map(sub, point, map(point[i].__mul__, self._alphas[i])))
 
-    def _columns(self, word):
-        """Columns w^{-1}(alpha_j) of the element spelled by ``word``."""
-        cols = self._unit_columns
+    def _point(self, word):
+        """The point w(rho) of the element spelled by ``word``."""
+        point = (1,) * self.rank
         for i in reversed(word):
-            cols = self._reflect_columns(cols, i)
-        return cols
+            point = self._reflect(point, i)
+        return point
 
-    def _descend(self, cols, bound, gens=None):
+    def _descend(self, point, bound, gens=None):
         """Strip the smallest left descent of w among ``gens`` while there is one.
 
-        ``cols`` are the columns of w and ``bound`` a length that the caller
-        knows w not to exceed.  Returns the stripped letters and the columns
-        of what is left.  With ``gens`` left to all generators the letters
-        are w's canonical word and what is left is the identity.
+        ``point`` is w(rho) and ``bound`` a length that the caller knows w
+        not to exceed.  Returns the stripped letters and the point of what
+        is left.  With ``gens`` left to all generators the letters are w's
+        canonical word and what is left is the identity.
         """
         gens = range(self.rank) if gens is None else gens
         word = []
         while True:
             for i in gens:
-                if min(cols[i]) < 0:
+                if point[i] < 0:
                     break
             else:
-                return tuple(word), cols
+                return tuple(word), point
             if len(word) >= bound:
                 raise AssertionError(
                     f"more than {bound} left descents; the length bound is wrong")
             word.append(i)
-            cols = self._reflect_columns(cols, i)
+            point = self._reflect(point, i)
 
     def _canonical(self, word):
         """Lexicographically least reduced word equal to ``word``."""
-        tab = self._tabs.get(())
-        if tab is not None and tab["complete"]:
-            ident = 0
-            lmult = tab["lmult"]
-            for s in reversed(word):
-                ident = lmult[ident][s]
-            return tab["words"][ident]
-        return self._descend(self._columns(word), len(word))[0]
+        return self._descend(self._point(word), len(word))[0]
 
     # -- elements --------------------------------------------------------
 
@@ -234,14 +223,14 @@ class CoxeterSystem:
         """The table of W^J (J = () gives W), or of its ball up to ``up_to``.
 
         W^J is walked as the orbit of rho_J (0 on the positions ``J``, 1
-        elsewhere) in fundamental-weight coordinates, (s_i v)_j = v_j -
-        v_i * gcm[j][i].  At the point v of x, v_i > 0 makes s_i * x a longer
-        element of W^J, v_i < 0 marks a left descent, and v_i = 0 is a stuck
-        letter (s_i * x = x * s_j, s_j in W_J), recorded as lmult[x][i] = x.
-        desc[x] has bit i set when v_i <= 0: the left descents and stuck
-        letters of x.  Breadth first, letters outside: the first to reach x,
-        fld[x], is its least left descent, so ids run in (length, word)
-        order.  The last level is kept: a larger ``up_to`` extends a ball.
+        elsewhere) under ``_reflect``.  At the point v of x, v_i > 0 makes
+        s_i * x a longer element of W^J, v_i < 0 marks a left descent, and
+        v_i = 0 is a stuck letter (s_i * x = x * s_j, s_j in W_J), recorded
+        as lmult[x][i] = x.  desc[x] has bit i set when v_i <= 0: the left
+        descents and stuck letters of x.  Breadth first, letters outside:
+        the first to reach x, fld[x], is its least left descent, so ids run
+        in (length, word) order.  The last level is kept: a larger
+        ``up_to`` extends a ball.
         """
         if up_to is None and not self.is_finite:
             raise ValueError("system is infinite; a length bound is required")
@@ -277,7 +266,7 @@ class CoxeterSystem:
     def _walk_levels(self, tab, up_to):
         length, lmult, words, fld = tab["length"], tab["lmult"], tab["words"], tab["fld"]
         desc = tab["desc"]
-        gcm, n = self.gcm, self.rank
+        n, reflect = self.rank, self._reflect
         frontier, cur_len = tab["frontier"], tab["max_len"]
         while frontier and (up_to is None or cur_len < up_to):
             nxt = {}
@@ -289,7 +278,7 @@ class CoxeterSystem:
                     if vi == 0:
                         lmult[g][i] = g  # stuck
                         continue
-                    image = tuple(vj - vi * gcm[j][i] for j, vj in enumerate(point))
+                    image = reflect(point, i)
                     known = nxt.get(image)
                     if known is None:
                         known = len(length)
@@ -376,10 +365,11 @@ class CoxeterElement:
         return CoxeterElement(self.system, self.system._canonical(tuple(reversed(self.word))))
 
     def apply_to_root(self, vec):
-        """w(vec) for a root-coordinate vector, from the images w(alpha_j)."""
-        images = self.system._columns(self.word[::-1])  # the columns of w^{-1}
-        return tuple(sum(v * image[k] for v, image in zip(vec, images))
-                     for k in range(self.system.rank))
+        """w(vec) for a root-coordinate vector."""
+        vec = tuple(vec)
+        for i in reversed(self.word):
+            vec = _simple_reflect_root(self.system.gcm, i, vec)
+        return vec
 
     def __repr__(self):
         if not self.word:
@@ -400,16 +390,16 @@ def multiply(a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
     return CoxeterElement(system, system._canonical(a.word + b.word))
 
 
-def _negative_columns(system, cols):
-    return {system.labels[i] for i, col in enumerate(cols) if min(col) < 0}
+def _negative_labels(system, point):
+    return {system.labels[i] for i, vi in enumerate(point) if vi < 0}
 
 
 def left_descents(w: CoxeterElement):
-    return _negative_columns(w.system, w.system._columns(w.word))
+    return _negative_labels(w.system, w.system._point(w.word))
 
 
 def right_descents(w: CoxeterElement):
-    return _negative_columns(w.system, w.system._columns(w.word[::-1]))
+    return _negative_labels(w.system, w.system._point(w.word[::-1]))
 
 
 def bruhat_leq(y: CoxeterElement, w: CoxeterElement) -> bool:
@@ -420,18 +410,18 @@ def bruhat_leq(y: CoxeterElement, w: CoxeterElement) -> bool:
     be equal.
     """
     system = _require_same_system(y, w)
-    cols, ylen, ww = system._columns(y.word), y.length, w.word
+    point, ylen, ww = system._point(y.word), y.length, w.word
     k = 0
     while 0 < ylen < len(ww) - k:
         s = ww[k]
-        if min(cols[s]) < 0:
-            cols = system._reflect_columns(cols, s)
+        if point[s] < 0:
+            point = system._reflect(point, s)
             ylen -= 1
         k += 1
     if ylen > len(ww) - k:
         return False
     if ylen == len(ww) - k:  # suffixes of canonical words are canonical
-        return system._descend(cols, ylen)[0] == ww[k:]
+        return system._descend(point, ylen)[0] == ww[k:]
     return True
 
 
@@ -457,7 +447,7 @@ def parabolic_project(w: CoxeterElement, J):
     v^{-1} is what stripping the left descents in J takes off w^{-1}.
     """
     system = w.system
-    v_inv = system._descend(system._columns(w.word[::-1]), w.length,
+    v_inv = system._descend(system._point(w.word[::-1]), w.length,
                             _positions(system, J))[0]
     u = CoxeterElement(system, system._canonical(w.word + v_inv))
     v = CoxeterElement(system, system._canonical(v_inv[::-1]))
@@ -473,8 +463,8 @@ def double_coset_minimum(w: CoxeterElement, I, J) -> CoxeterElement:
     system = w.system
     Ipos = _positions(system, I)
     u = parabolic_project(w, J)[0]
-    stripped, cols = system._descend(system._columns(u.word), u.length, Ipos)
-    return CoxeterElement(system, system._descend(cols, u.length - len(stripped))[0])
+    stripped, point = system._descend(system._point(u.word), u.length, Ipos)
+    return CoxeterElement(system, system._descend(point, u.length - len(stripped))[0])
 
 
 def longest_element(system: CoxeterSystem, J=None) -> CoxeterElement:
@@ -484,13 +474,13 @@ def longest_element(system: CoxeterSystem, J=None) -> CoxeterElement:
         sub = [[system.gcm[i][j] for j in Jpos] for i in Jpos]
         if not CoxeterSystem(sub).is_finite:
             raise ValueError("the requested parabolic subgroup is infinite")
-    # append right ascents to w; the columns of w^{-1} show them
-    cols, length = system._unit_columns, 0
+    # append right ascents to w; the point of w^{-1} shows them
+    point, length = system._point(()), 0
     while True:
-        asc = next((i for i in Jpos if min(cols[i]) >= 0), None)
-        if asc is None:  # w0_J is an involution: these are its own columns
-            return CoxeterElement(system, system._descend(cols, length)[0])
-        cols = system._reflect_columns(cols, asc)
+        asc = next((i for i in Jpos if point[i] > 0), None)
+        if asc is None:  # w0_J is an involution: this is its own point
+            return CoxeterElement(system, system._descend(point, length)[0])
+        point = system._reflect(point, asc)
         length += 1
 
 

@@ -6,6 +6,10 @@ library computes another way, or checks a model the library does not use:
 * :func:`orbit_walk`, a walk of the orbit of a dominant point in Fraction
   points with its own ordering and enumeration-limit check, against the
   W^J tables that the finite and affine strata read;
+* the root-lattice column action, :func:`columns`,
+  :func:`column_descents`, :func:`descend_columns`,
+  :func:`column_canonical` and :func:`column_interval`, against the point
+  action w(rho) that spells canonical words, descents and the Bruhat order;
 * :func:`subgroup_matrices`, the whole reflection subgroup as coweight
   matrices, against the integral subsystem;
 * the translation model of an affinization: :func:`coweight_action`,
@@ -83,6 +87,63 @@ def subgroup_matrices(datum: RootDatum, simple_indices) -> frozenset:
     return frozenset(matrices)
 
 
+# -- the root-lattice column action -------------------------------------------
+#
+# An element w is read off its columns w^{-1}(alpha_j), j = 0..rank-1, each
+# in root coordinates.  s_i is a left descent of w exactly when
+# w^{-1}(alpha_i) is negative (Bjorner-Brenti, GTM 231, ch. 4), and the
+# columns of s_i*w are w^{-1}(s_i alpha_j) = c_j - gcm[i][j] * c_i.
+
+
+def reflect_columns(system: CoxeterSystem, cols, i):
+    """Columns of s_i * w from the columns of w."""
+    ci = cols[i]
+    return tuple(tuple(x - a * y for x, y in zip(col, ci))
+                 for col, a in zip(cols, system.gcm[i]))
+
+
+def columns(system: CoxeterSystem, word):
+    """Columns w^{-1}(alpha_j) of the element spelled by ``word``."""
+    n = system.rank
+    cols = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in reversed(word):
+        cols = reflect_columns(system, cols, i)
+    return cols
+
+
+def column_descents(cols):
+    """Positions of the left descents: the negative columns."""
+    return {i for i, col in enumerate(cols) if min(col) < 0}
+
+
+def descend_columns(system: CoxeterSystem, cols, bound):
+    """Canonical word of the element with columns ``cols``, of length at
+    most ``bound``: its smallest left descent, stripped until none is left."""
+    word = []
+    while True:
+        i = min(column_descents(cols), default=None)
+        if i is None:
+            return tuple(word)
+        if len(word) >= bound:
+            raise AssertionError(f"more than {bound} left descents")
+        word.append(i)
+        cols = reflect_columns(system, cols, i)
+
+
+def column_canonical(system: CoxeterSystem, word):
+    """Lexicographically least reduced word equal to ``word``."""
+    return descend_columns(system, columns(system, word), len(word))
+
+
+def column_interval(system: CoxeterSystem, word) -> frozenset:
+    """Canonical words of every y <= w, for w spelled by ``word``: the
+    products of the subwords of a reduced word of w."""
+    below = {()}
+    for s in reversed(column_canonical(system, word)):
+        below |= {column_canonical(system, (s,) + y) for y in below}
+    return frozenset(below)
+
+
 # -- the translation model of an affinization ---------------------------------
 
 
@@ -118,10 +179,10 @@ def translation_element(affsys: CoxeterSystem, mu) -> CoxeterElement:
     shifts = [-pairing(datum, datum.highest_root, mu)]  # alpha_0 = delta - theta
     shifts += [pairing(datum, alpha, mu) for alpha in datum.simple_roots]
     cols = tuple(
-        tuple(e + int(shift) * d for e, d in zip(unit, delta))
-        for unit, shift in zip(affsys._unit_columns, shifts))
+        tuple(int(i == j) + int(shift) * d for j, d in enumerate(delta))
+        for i, shift in enumerate(shifts))
     expected = int(translation_length(datum, mu))
-    word = affsys._descend(cols, expected)[0]
+    word = descend_columns(affsys, cols, expected)
     if len(word) != expected:
         raise AssertionError("translation word disagrees with the length formula")
     return affsys._element(word)
@@ -142,9 +203,9 @@ def affine_decompose(w: CoxeterElement):
         raise ValueError("affine_decompose requires an element of an affinization")
     theta, theta_vee = datum.highest_root, datum.highest_root_coroot
     cols = tuple(tuple(c - col[0] * t for c, t in zip(col[1:], theta))
-                 for col in affsys._columns(w.word)[1:])
+                 for col in columns(affsys, w.word)[1:])
     fin = weyl_system(datum)
-    wbar = fin._element(fin._descend(cols, len(datum.positive_roots))[0])
+    wbar = fin._element(descend_columns(fin, cols, len(datum.positive_roots)))
     theta_row = [sum(a * t for a, t in zip(row, theta)) for row in datum.cartan_matrix]
     mu = (0,) * datum.rank
     for p in reversed(w.word):  # positions equal labels in affinizations

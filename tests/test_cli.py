@@ -93,6 +93,20 @@ def test_readme_quick_start_block_runs():
     assert len(ast.literal_eval(kl_matrix)) == len(ast.literal_eval(index)) > 1
 
 
+def test_closed_pipe_exits_one_without_a_traceback():
+    """A reader that stops early (``weylkl weyl ... | head -c 20``) leaves
+    exit status 1 and nothing on stderr.  The A6 listing is larger than a
+    pipe buffer, so the write is still pending when the pipe closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "weylkl.cli", "weyl", "--type", "A", "--rank", "6"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b"5040 elements\n  e\n  "
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("weyl", "--type", "E", "--rank", "7"),
     ("kl", "--type", "E", "--rank", "8", "--y", "e", "--w", "1,2"),

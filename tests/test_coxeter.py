@@ -27,6 +27,10 @@ from weylkl.kl import kl_table
 from reference import (
     affine_decompose,
     affine_length_from_parts,
+    column_canonical,
+    column_descents,
+    column_interval,
+    columns,
     coweight_action,
     translation_element,
     translation_length,
@@ -190,35 +194,90 @@ def test_canonical_words_are_lex_least_reduced():
         assert w.word == min(candidates)
 
 
+def _table_word(tab, word):
+    """Canonical word of ``word`` read off a complete table along lmult."""
+    ident = 0
+    for s in reversed(word):
+        ident = tab["lmult"][ident][s]
+    return tab["words"][ident]
+
+
 @pytest.mark.parametrize("datum", [A3, build_root_datum("B", 3), G2])
 def test_canonical_without_tables_matches_complete_tables(datum):
-    tables = CoxeterSystem(datum.cartan_matrix)
+    tab = CoxeterSystem(datum.cartan_matrix)._ensure_tables()
     fresh = CoxeterSystem(datum.cartan_matrix)  # no tables: the one routine
-    for word in tables._ensure_tables()["words"]:
+    for word in tab["words"]:
         assert fresh._canonical(word) == word
-        assert fresh._canonical(word[::-1]) == tables._canonical(word[::-1])
+        assert fresh._canonical(word[::-1]) == _table_word(tab, word[::-1])
     assert not fresh._tabs
 
 
 @pytest.mark.parametrize("letter", ["D", "F"])
 def test_canonical_of_random_words_matches_complete_tables(letter):
     datum = build_root_datum(letter, 4)
-    tables = CoxeterSystem(datum.cartan_matrix)
-    tables._ensure_tables()
+    tab = CoxeterSystem(datum.cartan_matrix)._ensure_tables()
     fresh = CoxeterSystem(datum.cartan_matrix)
     rng = random.Random(f"canonical {letter}4")
     for _ in range(500):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(0, 30)))
-        assert fresh._canonical(word) == tables._canonical(word)
+        assert fresh._canonical(word) == _table_word(tab, word)
     assert not fresh._tabs
 
 
 def test_descend_refuses_more_letters_than_its_bound():
     system = CoxeterSystem(A3.cartan_matrix)
-    cols = system._columns((0, 1, 0))
-    assert system._descend(cols, 3)[0] == (0, 1, 0)
+    point = system._point((0, 1, 0))
+    assert system._descend(point, 3)[0] == (0, 1, 0)
     with pytest.raises(AssertionError, match="length bound"):
-        system._descend(cols, 2)
+        system._descend(point, 2)
+
+
+def _infinite_systems(count):
+    """A2~, B2~, G2~ and ``count`` seeded Cartan matrices of rank 2 to 4
+    that are neither finite nor affine (the non-symmetrizable ones kept)."""
+    found = [pytest.param(CoxeterSystem(affinization(d).gcm), id=f"{d.cartan_type}2~")
+             for d in (A2, B2, G2)]
+    rng = random.Random("indefinite")
+    while len(found) < count + 3:
+        n = rng.randint(2, 4)
+        gcm = [[2] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 0.7:
+                gcm[i][j], gcm[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
+            else:
+                gcm[i][j] = gcm[j][i] = 0
+        system = CoxeterSystem(gcm)
+        try:
+            kind = system.kind
+        except ValueError:  # not symmetrizable
+            kind = "indefinite"
+        if kind == "indefinite":
+            found.append(pytest.param(system, id=f"indefinite-{len(found) - 3}"))
+    return found
+
+
+@pytest.mark.parametrize("system", _infinite_systems(50))
+def test_point_action_matches_the_column_action_on_infinite_systems(system):
+    """Canonical words, descents and the Bruhat order against the
+    root-lattice column action of the reference, on seeded words."""
+    rng = random.Random(f"point action {system.gcm}")
+    n = system.rank
+    for _ in range(4):
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 10)))
+        w = system._element(system._canonical(word))
+        assert w.word == column_canonical(system, word)
+        assert left_descents(w) == {
+            system.labels[i] for i in column_descents(columns(system, w.word))}
+        assert right_descents(w) == {
+            system.labels[i] for i in column_descents(columns(system, w.word[::-1]))}
+        below = column_interval(system, w.word)
+        for _ in range(6):
+            if rng.random() < 0.5:
+                letters = [s for s in w.word if rng.random() < 0.6]
+            else:
+                letters = [rng.randrange(n) for _ in range(rng.randint(0, w.length))]
+            y = system._element(system._canonical(tuple(letters)))
+            assert bruhat_leq(y, w) == (y.word in below), (y, w)
 
 
 def _right_products(system, tab):

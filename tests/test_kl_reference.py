@@ -10,15 +10,16 @@ quotient W^J it computes Deodhar's parabolic polynomials for u = -1 (J.
 Algebra 111, 1987) from the same relation, with z in W^J and R^J, whose
 recursion has a third case: for s x outside W^J, R^J_{x,w} = q R^J_{x,sw}.
 It acts on words of a system that is never enumerated: canonical words come
-from ``_descend`` on root-lattice columns, W^J from right descents, and
-the order from products of subwords.  The engine's tables are further
+from the root-lattice column action of ``tests/reference.py``, not from the
+point action w(rho) of the engine, W^J from right descents, and the order
+from products of subwords.  The engine's tables are further
 checked against the symmetries P_{y,w} = P_{y^-1,w^-1} =
 P_{w0 y w0, w0 w w0}, the KL inversion formula, and the inverse
 multiplicity matrices of regular blocks.
 """
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +30,8 @@ from weylkl.endoscopy import stratify
 from weylkl.kl import kl_polynomial, kl_table
 from weylkl.multiplicity import inverse_multiplicity_matrix, multiplicity_polynomial
 from weylkl.rootdata import RationalCoweight, build_root_datum
+
+from reference import column_canonical, column_descents, columns
 
 
 def _add(a, b, scale=1):
@@ -62,13 +65,12 @@ class Reference:
 
     def _times(self, s, word):
         """Canonical word of s * w."""
-        system = self.system
-        return system._descend(system._columns((s,) + word), len(word) + 1)[0]
+        return column_canonical(self.system, (s,) + word)
 
     def minimal(self, word):
         """Whether w lies in W^J: no right descent in J."""
-        cols = self.system._columns(word[::-1])  # w^{-1} has them as left descents
-        return not any(min(cols[j]) < 0 for j in self.J)
+        # w^{-1} has them as left descents
+        return not column_descents(columns(self.system, word[::-1])) & set(self.J)
 
     def _ideal(self, w):
         """{y in W^J : y <= w}.  With w = s*v, each y <= w is y <= v or s*y'
@@ -152,7 +154,7 @@ def test_engine_matches_the_r_polynomial_definition(letter, rank, data):
 
 def test_reference_knows_the_first_nontrivial_polynomials():
     ref = reference("A", 3)
-    word = ref.system._canonical
+    word = partial(column_canonical, ref.system)
     assert ref.P((), word((1, 0, 2, 1))) == (1, 1)  # P_{e, s2 s1 s3 s2} = 1 + q
     assert ref.P((0,), word((0, 1, 2, 1, 0))) == (1, 1)
     assert ref.P((0, 1), word((0, 1, 2, 1, 0))) == (1,)
