@@ -15,11 +15,14 @@ critical classes; each class comes with its own stratification index:
 
 Everything is exact: finite parts are `fractions.Fraction` vectors and the
 affine real roots are pairs ``(beta, m)`` of a finite root and an integer
-delta-coefficient.  Both indices read the table of the singular quotient
-W^J, one element representation with the finite strata: it is walked
-level by level along ``fld``, with the values of the simple roots at
-``w(lambda')`` and the degree carried in integers, and the walk stops at
-the first level with nothing inside the bound.
+delta-coefficient.  The straightening and the walk are those of the finite
+strata (:mod:`weylkl.endoscopy`), on the values ``<beta, x> + m*k`` of the
+simple roots at level k: ``lambda'``, the mover and the singular labels
+come off one straightening, in which only the finite generators move at
+critical level.  Both indices walk the table of the singular quotient W^J
+level by level along ``fld``, with the values at ``w(lambda')`` and the
+degree carried in integers, and stop at the first level with nothing
+inside the bound.
 
 The simple roots of the integral affine roots are found by Dyer's criterion
 (:func:`weylkl.endoscopy.simple_system`: gamma is simple iff s_gamma sends
@@ -39,7 +42,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .coxeter import CoxeterElement, CoxeterSystem, _positions, parabolic_quotient
-from .endoscopy import _integer_point, _value, simple_system, straighten, subsystem_cartan
+from .endoscopy import (
+    _integer_point, _start_values, _value, _walk_below, simple_system, straighten,
+    subsystem_cartan)
 from .linalg import kernel_basis
 from .rootdata import RootDatum
 
@@ -245,16 +250,14 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
                for coroot, (beta, m) in zip(finite_coroots, roots)]
     system = CoxeterSystem(gcm, labels=labels)
 
-    # the finite-labelled roots come first; at critical level only they move
-    active = len(finite) if level_class is LevelClass.CRITICAL else len(roots)
-    finite_roots, shifts = [beta for beta, _m in roots], [m * k for _beta, m in roots]
-    lam_prime, mover, _zeros = straighten(
-        datum, system, finite_roots[:active], finite_coroots[:active], vec,
-        shifts=shifts[:active], sign=-1 if level_class is LevelClass.NEGATIVE else 1)
-
-    rows, _d, point, shifts = _integer_point(datum, finite_roots, lam_prime, shifts)
-    singular = frozenset(labels[i] for i, (row, shift) in enumerate(zip(rows, shifts))
-                         if _value(row, shift, point) == 0)
+    # the finite-labelled roots come first; at critical level only they move,
+    # and every root that vanishes at lambda', delta-roots too, is singular
+    lam_prime, mover, zeros = straighten(
+        datum, system, [beta for beta, _m in roots], finite_coroots, vec,
+        shifts=[m * k for _beta, m in roots],
+        sign=-1 if level_class is LevelClass.NEGATIVE else 1,
+        gens=range(len(finite)) if level_class is LevelClass.CRITICAL else None)
+    singular = frozenset(labels[i] for i in zeros)
 
     imaginary = []
     for comp in system._components():
@@ -313,54 +316,6 @@ def _bound_coords(datum: RootDatum, bound):
     return coords
 
 
-def _start_values(datum: RootDatum, roots, lam, shifts=None, sign=1):
-    """The integers ``sign * (<roots[i], lam> + shifts[i])``: integral roots
-    pair integrally with ``lam``."""
-    rows, d, point, shifts = _integer_point(datum, roots, lam, shifts)
-    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
-    if any(value % d for value in values):
-        raise AssertionError("integral pairings must stay integral")
-    return tuple(value // d for value in values)
-
-
-def _walk_below(system: CoxeterSystem, J, values, steps, bound):
-    """``{id: degree}`` for the ids of the table of W^J whose degree is at
-    most ``bound`` componentwise, in id order.
-
-    ``values`` are the start values of :func:`_start_values`, positive off
-    J and zero on J.  Along the table, x = s*g with s = fld[x] and
-    v = values(g)[s] > 0, and degree(x) = degree(g) + v * steps[s].  The
-    values pair roots with a coweight, so they move by the transpose of the
-    weight rule of :meth:`~weylkl.coxeter.CoxeterSystem._ensure_tables`:
-    values(x)[j] = values(g)[j] - v * gcm[s][j].  Degrees only grow along
-    the table, so x is kept when g is, and its degree is inside the bound;
-    the ball is walked level by level and the walk stops at the first level
-    that keeps nothing.
-    """
-    gcm = system.gcm
-    kept = {0: (values, (0,) * len(bound))}
-    x, level, found = 1, 0, True
-    while found:
-        level += 1
-        tab = system._ensure_tables(up_to=level, J=J)
-        length, fld, lmult = tab["length"], tab["fld"], tab["lmult"]
-        found = False
-        while x < len(length) and length[x] == level:
-            s = fld[x]
-            parent = kept.get(lmult[x][s])
-            if parent is not None:
-                vals, degree = parent
-                v = vals[s]
-                if v <= 0:
-                    raise AssertionError("lambda' must be dominant with stabilizer W_J")
-                degree = tuple(a + v * b for a, b in zip(degree, steps[s]))
-                if all(a <= b for a, b in zip(degree, bound)):
-                    kept[x] = (tuple(a - v * c for a, c in zip(vals, gcm[s])), degree)
-                    found = True
-            x += 1
-    return {x: degree for x, (_vals, degree) in kept.items()}
-
-
 def affine_strata_index(strat: AffineStratification, bound):
     """Stratification index at positive or negative level.
 
@@ -386,11 +341,12 @@ def affine_strata_index(strat: AffineStratification, bound):
         raise AssertionError(
             "positive integral coroots must lie in the affine coroot cone")
     sign = 1 if strat.level_class is LevelClass.POSITIVE else -1
-    values = _start_values(datum, [beta for beta, _m in strat.simple_roots], strat.lambda_prime,
-                           [m * strat.level for _beta, m in strat.simple_roots], sign)
+    values = _start_values(*_integer_point(
+        datum, [beta for beta, _m in strat.simple_roots], strat.lambda_prime,
+        [m * strat.level for _beta, m in strat.simple_roots]), sign)
     system = strat.system
     J = tuple(_positions(system, strat.singular))
-    kept = _walk_below(system, J, values, steps, bound_c)
+    kept = _walk_below(system, J, values, steps, len(bound_c), bound_c)
     words = system._tabs[J]["words"]
     return tuple((system._element(words[x]), strat.level_class) for x in kept)
 
@@ -459,9 +415,10 @@ def critical_strata_index(strat: AffineStratification, beta):
     f = len(fin_labels)
     finite = CoxeterSystem([row[:f] for row in strat.system.gcm[:f]])
     J = tuple(pos for pos, label in enumerate(fin_labels) if label in strat.singular)
-    values = _start_values(datum, [root for root, _m in strat.simple_roots[:f]], lam)
-    kept = _walk_below(finite, J, values,
-                       [coroot for coroot, _c in strat.simple_coroots[:f]], beta_target)
+    values = _start_values(*_integer_point(
+        datum, [root for root, _m in strat.simple_roots[:f]], lam, None))
+    kept = _walk_below(finite, J, values, [coroot for coroot, _c in strat.simple_coroots[:f]],
+                       datum.rank, beta_target)
     words = finite._tabs[J]["words"]
     return tuple((strat.system._element(words[x]), alpha) for x, degree in kept.items()
                  if degree == beta_target for alpha in alphas)

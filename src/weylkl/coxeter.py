@@ -6,14 +6,17 @@ every system this package needs: finite Weyl groups, reflection subgroups
 presented by their own Cartan data, and affinizations.  Elements are stored
 as canonical reduced words: the lexicographically least reduced expression.
 
-Every canonical word and descent is read off one action: an element w is
-given by the point w(rho) in fundamental-weight coordinates, which the
-tables walk too.  rho lies inside the fundamental chamber, so its orbit is
-free and the point determines w; s_i is a left descent of w exactly when
-w(rho)_i < 0.  One routine, ``CoxeterSystem._descend``, strips the smallest
-left descent until none is left, spelling the canonical word.  Descents,
-parabolic projections, double coset minima and the Bruhat order all go
-through it.
+Every canonical word and descent is read off one rule: s_i acts on the
+values v_j = <alpha_j, x> of a coweight x by v_j - v_i * gcm[i][j], row i
+of the Cartan matrix.  An element w is given by the values of w(rho), with
+rho = (1, ..., 1), which the tables walk too.  rho lies inside the
+fundamental chamber, so its orbit is free and the values determine w; s_i
+is a left descent of w exactly when the i-th value is negative.  One
+routine, ``CoxeterSystem._descend``, strips the smallest left descent
+until none is left, spelling the canonical word.  Descents, parabolic
+projections, double coset minima, the Bruhat order and the straightening
+of a coweight all go through it, and every orbit the other modules walk
+moves by the same rule, ``CoxeterSystem._reflect``.
 
 Parabolic quotients W^J (J = () gives W) of finite systems, and
 length-bounded balls of affine ones, are walked lazily into tables along
@@ -81,7 +84,6 @@ class CoxeterSystem:
         self.affine_of = affine_of  # RootDatum when this is an affinization
         self._label_pos = {lab: i for i, lab in enumerate(self.labels)}
         self._hash = hash((self.gcm, self.labels))
-        self._alphas = tuple(zip(*gcm))  # alpha_i in fundamental-weight coordinates
         self._tabs = {}  # enumeration tables, one per parabolic J
         self._kind = None
 
@@ -131,6 +133,9 @@ class CoxeterSystem:
         for comp in self._components():
             sub = [[self.gcm[i][j] for j in comp] for i in comp]
             d = _symmetrizer(sub)
+            if d is None:  # finite and affine matrices are symmetrizable (Kac, ch. 4)
+                kinds.add("indefinite")
+                continue
             # positive definite, or positive semidefinite of corank one with
             # every proper leading block definite (an affine component)
             minors = _leading_minors([[d[i] * a for a in row] for i, row in enumerate(sub)])
@@ -150,15 +155,14 @@ class CoxeterSystem:
 
     # -- the point action ---------------------------------------------------
     #
-    # An element w is read off its point w(rho) in fundamental-weight
-    # coordinates, rho = (1, ..., 1).  v_i = <w(rho), alpha_i^vee> is the
-    # height of the coroot w^{-1}(alpha_i^vee), so s_i is a left descent of w
+    # A point is the tuple of values v_j = <alpha_j, x> of a coweight x.  An
+    # element w is read off the point of w(rho), rho = (1, ..., 1): v_i is
+    # the height of the root w^{-1}(alpha_i), so s_i is a left descent of w
     # exactly when v_i < 0 (Kac, Infinite-dimensional Lie algebras, 3.12).
 
     def _reflect(self, point, i):
-        """s_i on a point in fundamental-weight coordinates:
-        (s_i v)_j = v_j - v_i * gcm[j][i]."""
-        return tuple(map(sub, point, map(point[i].__mul__, self._alphas[i])))
+        """s_i on the values of a coweight: (s_i v)_j = v_j - v_i * gcm[i][j]."""
+        return tuple(map(sub, point, map(point[i].__mul__, self.gcm[i])))
 
     def _point(self, word):
         """The point w(rho) of the element spelled by ``word``."""
@@ -170,10 +174,11 @@ class CoxeterSystem:
     def _descend(self, point, bound, gens=None):
         """Strip the smallest left descent of w among ``gens`` while there is one.
 
-        ``point`` is w(rho) and ``bound`` a length that the caller knows w
+        ``point`` is w(rho), or w(x) for a dominant x and w minimal modulo
+        the stabilizer of x, and ``bound`` a length that the caller knows w
         not to exceed.  Returns the stripped letters and the point of what
         is left.  With ``gens`` left to all generators the letters are w's
-        canonical word and what is left is the identity.
+        canonical word and what is left is x.
         """
         gens = range(self.rank) if gens is None else gens
         word = []
@@ -316,7 +321,7 @@ class CoxeterSystem:
 def _symmetrizer(gcm):
     """The primitive positive integers d_i that make d_i * gcm[i][j]
     symmetric, for an indecomposable Cartan matrix: the kernel of the
-    equations d_i * gcm[i][j] = d_j * gcm[j][i]."""
+    equations d_i * gcm[i][j] = d_j * gcm[j][i], or None when there is none."""
     n = len(gcm)
     equations = [[0] * n]  # keeps the column count when there is one node
     for i, j in combinations(range(n), 2):
@@ -325,9 +330,7 @@ def _symmetrizer(gcm):
             row[i], row[j] = gcm[i][j], -gcm[j][i]
             equations.append(row)
     basis = kernel_basis(equations)
-    if len(basis) != 1:
-        raise ValueError("Cartan matrix is not symmetrizable")
-    return basis[0]
+    return basis[0] if len(basis) == 1 else None
 
 
 def _leading_minors(gram):

@@ -13,15 +13,18 @@ This module computes:
   minimal element ``y`` moving one to the other, the generators fixing
   ``lam'``, and the minimal coset representatives modulo those generators,
   which index the strata attached to ``lam``,
-* the orbit points ``w(lam')``, read along the table of those
+* the degrees ``lam' - w(lam')``, read along the table of those
   representatives, for the degree filters, highest weights and dimensions.
 
-The stratification runs on integer numerators, and only its outputs are
-Fractions: one straightening pass over the numerators ``mu`` of ``mu/n``
-(:func:`straighten`) gives ``lam'``, the minimal mover and the singular
-generators, the positions whose value vanishes at ``lam'``; the orbit
-points are numerators over one common denominator as well.  The affine
-strata (:mod:`weylkl.affine`) read the table of their own W^J the same way.
+The stratification runs in integers, and only its outputs are Fractions.
+Every orbit moves by one rule, ``CoxeterSystem._reflect`` on the values
+``<beta_j, x>`` of the simple roots at a coweight x.  :func:`straighten`
+lets ``CoxeterSystem._descend`` strip the values of ``mu/n``: the stripped
+word is the minimal mover, ``lam'`` is ``mu/n`` replayed along it, and the
+singular generators are the positions whose value is left at 0.  One walk
+of the table of W^J (:func:`_walk_below`) moves the values of ``lam'`` and
+adds up the degrees.  The affine strata (:mod:`weylkl.affine`) straighten
+and walk the same way.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -42,7 +45,6 @@ from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
 from .rootdata import (
     RationalCoweight,
     RootDatum,
-    dominance_compare,
     reflect_coweight_by_root,
 )
 
@@ -213,40 +215,44 @@ def _value(row, shift, point):
     return sum(map(mul, row, point)) + shift
 
 
+def _start_values(rows, d, point, shifts, sign=1):
+    """The integers ``sign * (<roots[i], v> + shifts[i])`` at the point
+    ``v`` of :func:`_integer_point`: integral roots pair integrally with
+    ``v``."""
+    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
+    if any(value % d for value in values):
+        raise AssertionError("integral pairings must stay integral")
+    return tuple(value // d for value in values)
+
+
 def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
-               shifts=None, sign=1):
+               shifts=None, sign=1, gens=None):
     """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
 
-    Repeatedly reflects by the first root i whose value
-    ``sign * (<roots[i], vec> + shifts[i])`` is negative, recording i, until
-    no such root is left.  ``vec`` is a coweight vector or a
+    The values ``sign * (<roots[i], vec> + shifts[i])`` are integers, and
+    ``system._descend`` strips the first negative one among ``gens``
+    (default: all) until none is left; ``lambda_prime`` is ``vec`` replayed
+    along the stripped word.  ``vec`` is a coweight vector or a
     :class:`~weylkl.rootdata.RationalCoweight`; ``shifts`` (default 0) are
     the delta-parts ``m_i * k`` of affine roots at level k; ``sign = -1``
     straightens to the antidominant chamber.  Returns
     ``(lambda_prime, mover, zeros)`` where ``mover``, the element of
-    ``system`` spelled by the recorded word, is the minimal element taking
+    ``system`` spelled by the stripped word, is the minimal element taking
     ``lambda_prime`` back to ``vec``, and ``zeros`` are the positions i
-    whose value vanishes at ``lambda_prime``.  All of it runs on integer
-    numerators; only ``lambda_prime`` is made of Fractions.
+    whose value vanishes at ``lambda_prime``.  All of it runs on integers;
+    only ``lambda_prime`` is made of Fractions.
     """
     rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
-    word = []
-    for _ in range(100000):
-        zeros = []
-        for i, (row, shift) in enumerate(zip(rows, shifts)):
-            value = _value(row, shift, point)
-            if sign * value < 0:
-                break
-            if not value:
-                zeros.append(i)
-        else:
-            mover = CoxeterElement(system, system._canonical(tuple(word)))
-            if len(mover.word) != len(word):
-                raise AssertionError("straightening word must be reduced")
-            return tuple(Fraction(c, d) for c in point), mover, tuple(zeros)
-        word.append(i)
+    values = _start_values(rows, d, point, shifts, sign)
+    word, values = system._descend(values, 100_000, gens)  # a termination bound
+    mover = CoxeterElement(system, system._canonical(word))
+    if len(mover.word) != len(word):
+        raise AssertionError("straightening word must be reduced")
+    for i in word:
+        value = _value(rows[i], shifts[i], point)
         point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
-    raise AssertionError("straightening did not terminate")
+    return (tuple(Fraction(c, d) for c in point), mover,
+            tuple(i for i, value in enumerate(values) if not value))
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
@@ -268,22 +274,51 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
         singular=singular, index_set=index_set)
 
 
-def _index_numerators(strat: Stratification):
-    """``(d, points)``: the numerators over ``d`` of w(lambda') for the index
-    set's w, in its order, read along the table of W^J: with s = fld[x],
-    p(x) = s(p(s*x)), where <beta_s, p(s*x)> > 0 as lambda' is dominant."""
-    system, coroots = strat.system, strat.simple_coroots
-    tab = system._ensure_tables(J=tuple(coxeter._positions(system, strat.singular)))
-    rows, d, point, _ = _integer_point(strat.datum, strat.simple_roots,
-                                       strat.lambda_prime, None)
-    points = [point]
-    for x, s in enumerate(tab["fld"][1:], 1):
-        parent = points[tab["lmult"][x][s]]
-        value = _value(rows[s], 0, parent)
-        if value <= 0:
-            raise AssertionError("lambda' must be dominant with stabilizer W_J")
-        points.append(tuple(c - value * cr for c, cr in zip(parent, coroots[s])))
-    return d, points
+def _walk_below(system: CoxeterSystem, J, values, steps, dim, bound=None):
+    """``{id: degree}`` for the ids of the table of W^J whose degree, a
+    vector of ``dim`` integers, is at most ``bound`` componentwise (every id
+    when ``bound`` is None), in id order.
+
+    ``values`` are the start values of :func:`_start_values`, positive off
+    J and zero on J.  Along the table, x = s*g with s = fld[x] and
+    v = values(g)[s] > 0: values(x) is ``system._reflect(values(g), s)`` and
+    degree(x) = degree(g) + v * steps[s].  Degrees only grow along the
+    table, so x is kept when g is, and its degree is inside the bound; the
+    ball is walked level by level and the walk stops at the first level
+    that keeps nothing.
+    """
+    reflect = system._reflect
+    kept = {0: (values, (0,) * dim)}
+    x, level, found = 1, 0, True
+    while found:
+        level += 1
+        tab = system._ensure_tables(up_to=level, J=J)
+        length, fld, lmult = tab["length"], tab["fld"], tab["lmult"]
+        found = False
+        while x < len(length) and length[x] == level:
+            s = fld[x]
+            parent = kept.get(lmult[x][s])
+            if parent is not None:
+                vals, degree = parent
+                v = vals[s]
+                if v <= 0:
+                    raise AssertionError("lambda' must be dominant with stabilizer W_J")
+                degree = tuple(a + v * b for a, b in zip(degree, steps[s]))
+                if bound is None or all(a <= b for a, b in zip(degree, bound)):
+                    kept[x] = (reflect(vals, s), degree)
+                    found = True
+            x += 1
+    return {x: degree for x, (_vals, degree) in kept.items()}
+
+
+def _index_degrees(strat: Stratification, bound=None):
+    """``{id: lambda' - w(lambda')}`` for the index set's w, by id (its
+    position), that lie below ``bound`` (:func:`_walk_below`)."""
+    system = strat.system
+    values = _start_values(*_integer_point(strat.datum, strat.simple_roots,
+                                           strat.lambda_prime, None))
+    return _walk_below(system, tuple(coxeter._positions(system, strat.singular)), values,
+                       strat.simple_coroots, strat.datum.rank, bound)
 
 
 def strata_for_degree(strat: Stratification, alpha):
@@ -291,10 +326,12 @@ def strata_for_degree(strat: Stratification, alpha):
 
     ``alpha`` is an ambient coweight vector of the datum's rank; "below"
     means the difference is a componentwise nonnegative integer vector.
+    Every such degree is one, so an ``alpha`` that is not has no strata.
     """
     rank = strat.datum.rank
     if len(alpha) != rank:
         raise ValueError(f"the degree has {len(alpha)} coordinates; the rank is {rank}")
-    d, points = _index_numerators(strat)
-    return tuple(w for w, point in zip(strat.index_set, points) if dominance_compare(
-        tuple(Fraction(t - c, d) for t, c in zip(points[0], point)), alpha))
+    alpha = [Fraction(a) for a in alpha]
+    if any(a < 0 or a.denominator != 1 for a in alpha):
+        return ()
+    return tuple(strat.index_set[x] for x in _index_degrees(strat, tuple(map(int, alpha))))

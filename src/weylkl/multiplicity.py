@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from . import coxeter
 from .coxeter import CoxeterElement, _positions
-from .endoscopy import Stratification, _index_numerators
+from .endoscopy import Stratification, _index_degrees
 from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
 
@@ -50,9 +50,9 @@ __all__ = [
 
 def index_highest_weights(strat: Stratification):
     """Highest weights w(lam') - rho, one per index-set element, in order."""
-    rho = strat.datum.rho
-    d, points = _index_numerators(strat)
-    return tuple(tuple(Fraction(c, d) - r for c, r in zip(p, rho)) for p in points)
+    lam, rho = strat.lambda_prime, strat.datum.rho
+    return tuple(tuple(c - a - r for c, a, r in zip(lam, degree, rho))
+                 for degree in _index_degrees(strat).values())
 
 
 def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
@@ -263,14 +263,7 @@ def simple_module_dimension(strat: Stratification, y: CoxeterElement = None) -> 
     row = _index_position(strat, y)
     if not y.is_identity:  # the one index element with y(lam') dominant
         raise ValueError("the requested simple module is not finite dimensional")
-    d, points = _index_numerators(strat)
-    top = sum(points[0])
-    drops = []
-    for point in points:
-        drop, rest = divmod(top - sum(point), d)
-        if drop < 0 or rest:
-            raise AssertionError("index weights must lie below the top weight")
-        drops.append(drop)
+    drops = [sum(degree) for degree in _index_degrees(strat).values()]
     coroots = strat.datum.positive_coroots
     depth = drops[-1] - sum(map(sum, coroots))
     if depth < 0:

@@ -532,6 +532,33 @@ def test_critical_strata_match_the_orbit_walk_on_seeded_coweights(letter, rank):
     assert solved >= 12
 
 
+@pytest.mark.parametrize("letter,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_singular_set_is_where_the_fraction_pairing_vanishes(letter, rank):
+    """The singular labels are those of the simple roots beta + m*delta with
+    <beta, lambda'> + m*k = 0 in Fractions, at all three level classes;
+    at critical level (k = 0) the delta-roots among them too."""
+    datum = build_root_datum(letter, rank)
+    rng = random.Random(f"singular set {letter}{rank}")
+    seen = set()
+    for case in range(30):
+        n = rng.randint(1, 3)
+        mu = tuple(rng.randint(-2 * n, 2 * n) for _ in range(rank))
+        if case % 3 == 2:  # small coordinates, so that some delta-roots vanish
+            x = AffineCoweight(tuple(c // 2 for c in mu), (rng.randint(1, 3), 0), n)
+        else:
+            x = AffineCoweight.from_level(mu, rng.randint(1, 5), n)
+            x = negate(x) if case % 3 else x
+        s = affine_endoscopy(datum, x)
+        expected = frozenset(
+            label for label, (beta, m) in zip(s.labels, s.simple_roots)
+            if pairing(datum, beta, s.lambda_prime) + m * s.level == 0)
+        assert s.singular == expected, x
+        seen |= {(s.level_class, m > 0) for label, (_beta, m) in zip(s.labels, s.simple_roots)
+                 if label in expected}
+    assert {level for level, _delta in seen} == set(LevelClass)
+    assert (LevelClass.CRITICAL, True) in seen
+
+
 def test_affine_walks_past_the_enumeration_limit_raise(monkeypatch, capsys):
     positive = AffineCoweight.from_level((1, 1), 3, 1)
     assert len(affine_strata_index(affine_endoscopy(A2, positive), ((2, 2), 2))) > 10

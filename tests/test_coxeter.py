@@ -4,7 +4,8 @@ import random
 import time
 from copy import deepcopy
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
 
@@ -105,10 +106,45 @@ def test_null_marks_of_a_non_affine_matrix_are_an_internal_error(gcm):
         _left_null_marks(gcm, {0, 1})
 
 
-def test_non_symmetrizable_cartan_matrix_is_refused():
-    system = CoxeterSystem([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
-    with pytest.raises(ValueError, match="Cartan matrix is not symmetrizable"):
-        system.kind
+def test_non_symmetrizable_cartan_matrix_is_indefinite():
+    """Finite and affine Cartan matrices are symmetrizable (Kac, ch. 4), so
+    one without a symmetrizer is indefinite, and its group infinite."""
+    assert CoxeterSystem([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]]).kind == "indefinite"
+    system = CoxeterSystem([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    assert system.kind == "indefinite"
+    with pytest.raises(ValueError, match="system is infinite; a length bound is required"):
+        system.size()
+    with pytest.raises(ValueError, match="the requested parabolic subgroup is infinite"):
+        longest_element(system)
+    assert system._ensure_tables(up_to=3)["size"] == 20
+
+
+def _symmetrizable(gcm):
+    """Kac's cycle criterion (Infinite-dimensional Lie algebras, Ex. 2.1):
+    a_{i1 i2} a_{i2 i3} ... a_{ik i1} = a_{i2 i1} a_{i3 i2} ... a_{i1 ik}
+    on every cycle of distinct indices."""
+    n = len(gcm)
+    for k in range(3, n + 1):
+        for cycle in permutations(range(n), k):
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if prod(gcm[i][j] for i, j in edges) != prod(gcm[j][i] for i, j in edges):
+                return False
+    return True
+
+
+def test_kind_of_the_non_symmetrizable_infinite_systems():
+    """Every matrix without a symmetrizer in the seeded stream, up to the
+    last one ``_infinite_systems`` keeps, is indefinite, so it is kept."""
+    kept = {param.values[0].gcm for param in _infinite_systems(50)[3:]}
+    matrices = _seeded_cartan_matrices()
+    odd = []
+    while kept:
+        system = CoxeterSystem(next(matrices))
+        kept.discard(system.gcm)
+        if not _symmetrizable(system.gcm):
+            odd.append(system)
+    assert len(odd) >= 10
+    assert all(system.kind == "indefinite" for system in odd)
 
 
 @pytest.mark.parametrize("gcm", [
@@ -232,13 +268,10 @@ def test_descend_refuses_more_letters_than_its_bound():
         system._descend(point, 2)
 
 
-def _infinite_systems(count):
-    """A2~, B2~, G2~ and ``count`` seeded Cartan matrices of rank 2 to 4
-    that are neither finite nor affine (the non-symmetrizable ones kept)."""
-    found = [pytest.param(CoxeterSystem(affinization(d).gcm), id=f"{d.cartan_type}2~")
-             for d in (A2, B2, G2)]
+def _seeded_cartan_matrices():
+    """Seeded Cartan matrices of rank 2 to 4, without end."""
     rng = random.Random("indefinite")
-    while len(found) < count + 3:
+    while True:
         n = rng.randint(2, 4)
         gcm = [[2] * n for _ in range(n)]
         for i, j in combinations(range(n), 2):
@@ -246,12 +279,18 @@ def _infinite_systems(count):
                 gcm[i][j], gcm[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
             else:
                 gcm[i][j] = gcm[j][i] = 0
-        system = CoxeterSystem(gcm)
-        try:
-            kind = system.kind
-        except ValueError:  # not symmetrizable
-            kind = "indefinite"
-        if kind == "indefinite":
+        yield gcm
+
+
+def _infinite_systems(count):
+    """A2~, B2~, G2~ and the first ``count`` seeded Cartan matrices that are
+    neither finite nor affine (the non-symmetrizable ones among them)."""
+    found = [pytest.param(CoxeterSystem(affinization(d).gcm), id=f"{d.cartan_type}2~")
+             for d in (A2, B2, G2)]
+    matrices = _seeded_cartan_matrices()
+    while len(found) < count + 3:
+        system = CoxeterSystem(next(matrices))
+        if system.kind == "indefinite":
             found.append(pytest.param(system, id=f"indefinite-{len(found) - 3}"))
     return found
 

@@ -284,7 +284,9 @@ def _check_table_reads_against_the_walk(strat, rng):
     """The orbit walk lists the index set in order with its orbit points,
     and the readers of the table of W^J agree with it: the highest weights
     point by point, and ``strata_for_degree`` with a walk stopped at the
-    degree bound, at a seeded degree near that of a random element."""
+    degree bound, at a seeded degree near that of a random element.  That
+    degree is also given in Fractions, and with one coordinate made
+    negative or non-integral, which no stratum lies below."""
     lam = strat.lambda_prime
     walk = walk_of(strat)
     assert [word for word, _ in walk] == [w.word for w in strat.index_set]
@@ -293,12 +295,18 @@ def _check_table_reads_against_the_walk(strat, rng):
         tuple(c - r for c, r in zip(point, rho)) for _, point in walk)
     _, point = rng.choice(walk)
     alpha = tuple(int(a - b) + rng.randint(-1, 1) for a, b in zip(lam, point))
+    i = rng.randrange(len(alpha))
+    negative = alpha[:i] + (-rng.randint(1, 3),) + alpha[i + 1:]
+    half = alpha[:i] + (max(alpha[i], 0) + Fraction(1, 2),) + alpha[i + 1:]
+    fractions = tuple(Fraction(a) for a in alpha)
+    for degree in (alpha, negative, half, fractions):
+        def below(point):
+            return dominance_compare(tuple(a - b for a, b in zip(lam, point)), degree)
 
-    def below(point):
-        return dominance_compare(tuple(a - b for a, b in zip(lam, point)), alpha)
-
-    assert [w.word for w in strata_for_degree(strat, alpha)] == [
-        word for word, _ in walk_of(strat, keep=below)]
+        assert [w.word for w in strata_for_degree(strat, degree)] == [
+            word for word, _ in walk_of(strat, keep=below)]
+    assert strata_for_degree(strat, negative) == () == strata_for_degree(strat, half)
+    assert strata_for_degree(strat, fractions) == strata_for_degree(strat, alpha)
     return walk
 
 
