@@ -41,10 +41,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .coxeter import CoxeterElement, CoxeterSystem, _positions, parabolic_quotient
+from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
 from .endoscopy import (
-    _integer_point, _start_values, _value, _walk_below, simple_system, straighten,
-    subsystem_cartan)
+    _integer_point, _value, _walk_below, simple_system, straighten, subsystem_cartan)
 from .linalg import kernel_basis
 from .rootdata import RootDatum
 
@@ -119,7 +118,7 @@ def negate(x: AffineCoweight) -> AffineCoweight:
 
 
 # ---------------------------------------------------------------------------
-# invariant bilinear form and squared-length ratios
+# squared-length ratios
 
 
 def length_ratio(datum: RootDatum, beta) -> int:
@@ -135,18 +134,6 @@ def length_ratio(datum: RootDatum, beta) -> int:
     b, c = datum.positive_roots[k], datum.positive_coroots[k]
     i = next(i for i, b_i in enumerate(b) if b_i)
     return c[i] * datum.highest_root[i] // (b[i] * datum.highest_root_coroot[i])
-
-
-def invariant_form(datum: RootDatum, v, w) -> Fraction:
-    """The minimal even invariant form of two coweight vectors.
-
-    Its Gram matrix in simple coroots is column j of the Cartan matrix scaled
-    by |theta|^2 / |alpha_j|^2 = theta_j / theta^vee_j; coroots of long roots
-    get squared length 2.
-    """
-    ratios = [t // t_vee for t, t_vee in zip(datum.highest_root, datum.highest_root_coroot)]
-    return sum(Fraction(v[i]) * ratios[j] * a * w[j]
-               for i, row in enumerate(datum.cartan_matrix) for j, a in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +198,18 @@ class AffineStratification:
     system: CoxeterSystem
     lambda_prime: tuple
     minimal_mover: CoxeterElement
+    values: tuple             # sign * (<beta, lambda'> + m*k) for the simple roots
     singular: frozenset
     delta_zeta: int           # imaginary part of the minimal imaginary coroot
 
     @property
     def level(self) -> Fraction:
         return self.x.level
+
+    @property
+    def J(self):
+        """Positions of the simple roots vanishing at lambda'."""
+        return tuple(i for i, value in enumerate(self.values) if not value)
 
     @property
     def finite_labels(self):
@@ -250,14 +243,10 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
                for coroot, (beta, m) in zip(finite_coroots, roots)]
     system = CoxeterSystem(gcm, labels=labels)
 
-    # the finite-labelled roots come first; at critical level only they move,
-    # and every root that vanishes at lambda', delta-roots too, is singular
-    lam_prime, mover, zeros = straighten(
-        datum, system, [beta for beta, _m in roots], finite_coroots, vec,
-        shifts=[m * k for _beta, m in roots],
-        sign=-1 if level_class is LevelClass.NEGATIVE else 1,
-        gens=range(len(finite)) if level_class is LevelClass.CRITICAL else None)
-    singular = frozenset(labels[i] for i in zeros)
+    # at critical level only the finite roots move, and every root that
+    # vanishes at lambda', delta-roots too, is singular
+    lam_prime, mover, values = straighten(datum, system, roots, finite_coroots, vec, k)
+    singular = frozenset(label for label, value in zip(labels, values) if not value)
 
     imaginary = []
     for comp in system._components():
@@ -276,8 +265,8 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
         datum=datum, x=x, level_class=level_class, period=period,
         integral_roots=window, labels=labels, simple_roots=tuple(roots),
         simple_coroots=tuple(coroots), system=system,
-        lambda_prime=lam_prime, minimal_mover=mover, singular=singular,
-        delta_zeta=delta_zeta)
+        lambda_prime=lam_prime, minimal_mover=mover, values=values,
+        singular=singular, delta_zeta=delta_zeta)
 
 
 def affine_index_set(strat: AffineStratification, length_bound: int):
@@ -340,14 +329,9 @@ def affine_strata_index(strat: AffineStratification, bound):
     if None in steps:
         raise AssertionError(
             "positive integral coroots must lie in the affine coroot cone")
-    sign = 1 if strat.level_class is LevelClass.POSITIVE else -1
-    values = _start_values(*_integer_point(
-        datum, [beta for beta, _m in strat.simple_roots], strat.lambda_prime,
-        [m * strat.level for _beta, m in strat.simple_roots]), sign)
     system = strat.system
-    J = tuple(_positions(system, strat.singular))
-    kept = _walk_below(system, J, values, steps, len(bound_c), bound_c)
-    words = system._tabs[J]["words"]
+    kept = _walk_below(system, strat.J, strat.values, steps, len(bound_c), bound_c)
+    words = system._tabs[strat.J]["words"]
     return tuple((system._element(words[x]), strat.level_class) for x in kept)
 
 
@@ -377,48 +361,31 @@ def critical_strata_index(strat: AffineStratification, beta):
     beta_fin, beta_delta = beta
     _bound_coords(strat.datum, beta)  # cone membership validation
     datum = strat.datum
-    lam = strat.lambda_prime
-    fin_labels = strat.finite_labels
+    f = len(strat.finite_labels)  # finite labels come first
 
     if not strat.delta_zeta and beta_delta != 0:
         return ()
     target = Fraction(beta_delta, strat.delta_zeta or 1)
 
-    weights = [None if label in strat.singular  # finite labels come first
-               else invariant_form(datum, strat.simple_coroots[pos][0], lam)
-               for pos, label in enumerate(fin_labels)]
-    if any(weight is not None and weight <= 0 for weight in weights):
+    # the invariant form pairs the coroot of beta with lambda' to
+    # |theta|^2/|beta|^2 * <beta, lambda'>, 0 for a singular beta
+    weights = [value * length_ratio(datum, beta)
+               for value, (beta, _m) in zip(strat.values[:f], strat.simple_roots)]
+    if any(weight < 0 for weight in weights):
         raise AssertionError("nonsingular coroots must pair positively with lambda'")
-
-    alphas = []
-
-    def extend(idx, remaining, partial):
-        if idx == len(fin_labels):
-            if remaining == 0:
-                alphas.append(tuple(partial))
-            return
-        if weights[idx] is None:
-            extend(idx + 1, remaining, partial + [0])
-            return
-        count = 0
-        while count * weights[idx] <= remaining:
-            extend(idx + 1, remaining - count * weights[idx],
-                   partial + [count])
-            count += 1
-
-    if target >= 0:
-        extend(0, target, [])
+    alphas = [((), target)]  # the counts so far, in lexicographic order, and what is left
+    for weight in weights:
+        alphas = [(alpha + (count,), rest - count * weight) for alpha, rest in alphas
+                  for count in (range(rest // weight + 1) if weight else (0,))]
+    alphas = [alpha for alpha, rest in alphas if rest == 0]
     if not alphas:
         return ()
 
     beta_target = tuple(Fraction(c) for c in beta_fin)
-    f = len(fin_labels)
     finite = CoxeterSystem([row[:f] for row in strat.system.gcm[:f]])
-    J = tuple(pos for pos, label in enumerate(fin_labels) if label in strat.singular)
-    values = _start_values(*_integer_point(
-        datum, [root for root, _m in strat.simple_roots[:f]], lam, None))
-    kept = _walk_below(finite, J, values, [coroot for coroot, _c in strat.simple_coroots[:f]],
-                       datum.rank, beta_target)
+    J = tuple(pos for pos in strat.J if pos < f)
+    kept = _walk_below(finite, J, strat.values[:f],
+                       [coroot for coroot, _c in strat.simple_coroots[:f]], datum.rank, beta_target)
     words = finite._tabs[J]["words"]
     return tuple((strat.system._element(words[x]), alpha) for x, degree in kept.items()
                  if degree == beta_target for alpha in alphas)

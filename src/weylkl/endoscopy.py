@@ -21,10 +21,10 @@ Every orbit moves by one rule, ``CoxeterSystem._reflect`` on the values
 ``<beta_j, x>`` of the simple roots at a coweight x.  :func:`straighten`
 lets ``CoxeterSystem._descend`` strip the values of ``mu/n``: the stripped
 word is the minimal mover, ``lam'`` is ``mu/n`` replayed along it, and the
-singular generators are the positions whose value is left at 0.  One walk
-of the table of W^J (:func:`_walk_below`) moves the values of ``lam'`` and
-adds up the degrees.  The affine strata (:mod:`weylkl.affine`) straighten
-and walk the same way.
+singular generators are the positions whose value is left at 0.  The
+stratification keeps those values of ``lam'``, and one walk of the table
+of W^J (:func:`_walk_below`) moves them and adds up the degrees.  The
+affine strata (:mod:`weylkl.affine`) straighten and walk the same way.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -160,8 +160,14 @@ class Stratification:
     system: CoxeterSystem  # intrinsic Coxeter system on those
     lambda_prime: tuple  # dominant representative, coroot coordinates
     minimal_mover: CoxeterElement  # y with lam = y(lambda_prime), minimal
+    values: tuple  # <beta, lambda_prime> for the simple roots, integers
     singular: frozenset  # generator labels fixing lambda_prime
     index_set: tuple  # minimal coset representatives mod the singular part
+
+    @property
+    def J(self):
+        """Positions of the simple roots vanishing at lambda_prime."""
+        return tuple(i for i, value in enumerate(self.values) if not value)
 
     @property
     def simple_roots(self):
@@ -201,8 +207,6 @@ def _integer_point(datum: RootDatum, roots, vec, shifts):
         vec = [Fraction(x) for x in vec]
         d = math.lcm(*(x.denominator for x in vec))
         point = tuple(x.numerator * (d // x.denominator) for x in vec)
-    if shifts is None:
-        return rows, d, point, [0] * len(rows)
     shifts = [Fraction(s) for s in shifts]
     e = math.lcm(d, *(s.denominator for s in shifts))
     return (rows, e, tuple(c * (e // d) for c in point),
@@ -215,44 +219,69 @@ def _value(row, shift, point):
     return sum(map(mul, row, point)) + shift
 
 
-def _start_values(rows, d, point, shifts, sign=1):
-    """The integers ``sign * (<roots[i], v> + shifts[i])`` at the point
-    ``v`` of :func:`_integer_point`: integral roots pair integrally with
-    ``v``."""
+def _affine_inversions(values, k, d):
+    """The number of integral positive affine roots ``beta + m*delta`` with
+    ``sign * (<beta, x> + m*k/d) < 0``, ``sign`` that of ``k != 0``, from
+    the numerators ``values`` over ``d`` of ``<beta, x>`` for the positive
+    finite roots: for each of +-beta, the m counted are one residue class
+    mod ``d/gcd(k, d)``, from 0 (1 for -beta) to where the value turns
+    nonnegative."""
+    b, sign = abs(k), 1 if k > 0 else -1
+    g = math.gcd(b, d)
+    q = d // g
+    inverse = pow(b // g, -1, q)
+    total = 0
+    for value in values:
+        for a, low in ((sign * value, 0), (-sign * value, 1)):
+            top = (-a - 1) // b  # the last m with a + m*b < 0
+            if top >= low and a % g == 0:
+                r = -a // g * inverse % q  # a + m*b = 0 mod d iff m = r mod q
+                total += (top - r) // q - (low - 1 - r) // q
+    return total
+
+
+def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None):
+    """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
+
+    ``roots`` are finite roots beta, with values ``<beta, vec>``, or, at a
+    ``level`` k, affine roots ``(beta, m)``, with values
+    ``sign * (<beta, vec> + m*k)``; ``sign = -1`` at negative level
+    straightens to the antidominant chamber, and at critical level only the
+    roots with ``m = 0`` move.  ``system._descend`` strips the first
+    negative value until none is left, within the mover's length: |Phi+| in
+    a finite group, else :func:`_affine_inversions`, refused past the
+    enumeration limit.  ``vec`` (a coweight vector or a
+    :class:`~weylkl.rootdata.RationalCoweight`) replayed along the stripped
+    word is ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``:
+    ``mover``, spelled by the stripped word, is the minimal element taking
+    ``lambda_prime`` back to ``vec``, and ``values`` are the integer values
+    at ``lambda_prime``; only ``lambda_prime`` is made of Fractions.
+    """
+    shifts, gens, sign, bound = [0] * len(roots), None, 1, len(datum.positive_roots)
+    if level is not None:
+        shifts = [m * level for _beta, m in roots]
+        if level:
+            sign = 1 if level > 0 else -1
+            rows, d, point, (k,) = _integer_point(datum, datum.positive_roots, vec, [level])
+            bound = _affine_inversions([_value(row, 0, point) for row in rows], k, d)
+            if bound > coxeter._ENUM_LIMIT:
+                raise ValueError(f"straightening takes {bound} reflections, more than "
+                                 f"the enumeration limit {coxeter._ENUM_LIMIT}")
+        else:
+            gens = [i for i, (_beta, m) in enumerate(roots) if not m]
+        roots = [beta for beta, _m in roots]
+    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
     values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
     if any(value % d for value in values):
         raise AssertionError("integral pairings must stay integral")
-    return tuple(value // d for value in values)
-
-
-def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec,
-               shifts=None, sign=1, gens=None):
-    """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
-
-    The values ``sign * (<roots[i], vec> + shifts[i])`` are integers, and
-    ``system._descend`` strips the first negative one among ``gens``
-    (default: all) until none is left; ``lambda_prime`` is ``vec`` replayed
-    along the stripped word.  ``vec`` is a coweight vector or a
-    :class:`~weylkl.rootdata.RationalCoweight`; ``shifts`` (default 0) are
-    the delta-parts ``m_i * k`` of affine roots at level k; ``sign = -1``
-    straightens to the antidominant chamber.  Returns
-    ``(lambda_prime, mover, zeros)`` where ``mover``, the element of
-    ``system`` spelled by the stripped word, is the minimal element taking
-    ``lambda_prime`` back to ``vec``, and ``zeros`` are the positions i
-    whose value vanishes at ``lambda_prime``.  All of it runs on integers;
-    only ``lambda_prime`` is made of Fractions.
-    """
-    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
-    values = _start_values(rows, d, point, shifts, sign)
-    word, values = system._descend(values, 100_000, gens)  # a termination bound
+    word, values = system._descend(tuple(value // d for value in values), bound, gens)
     mover = CoxeterElement(system, system._canonical(word))
     if len(mover.word) != len(word):
         raise AssertionError("straightening word must be reduced")
     for i in word:
         value = _value(rows[i], shifts[i], point)
         point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
-    return (tuple(Fraction(c, d) for c in point), mover,
-            tuple(i for i, value in enumerate(values) if not value))
+    return tuple(Fraction(c, d) for c in point), mover, values
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
@@ -265,13 +294,13 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     roots = [datum.positive_roots[k] for k in simple]
     coroots = [datum.positive_coroots[k] for k in simple]
 
-    lambda_prime, mover, zeros = straighten(datum, system, roots, coroots, lam)
-    singular = frozenset(i + 1 for i in zeros)
+    lambda_prime, mover, values = straighten(datum, system, roots, coroots, lam)
+    singular = frozenset(i + 1 for i, value in enumerate(values) if not value)
     index_set = parabolic_quotient(system, singular)
     return Stratification(
         datum=datum, lam=lam, integral_indices=integral, simple_indices=simple,
         system=system, lambda_prime=lambda_prime, minimal_mover=mover,
-        singular=singular, index_set=index_set)
+        values=values, singular=singular, index_set=index_set)
 
 
 def _walk_below(system: CoxeterSystem, J, values, steps, dim, bound=None):
@@ -279,8 +308,8 @@ def _walk_below(system: CoxeterSystem, J, values, steps, dim, bound=None):
     vector of ``dim`` integers, is at most ``bound`` componentwise (every id
     when ``bound`` is None), in id order.
 
-    ``values`` are the start values of :func:`_start_values`, positive off
-    J and zero on J.  Along the table, x = s*g with s = fld[x] and
+    ``values`` are those of the simple roots at lambda', from
+    :func:`straighten`: positive off J and zero on J.  Along the table, x = s*g with s = fld[x] and
     v = values(g)[s] > 0: values(x) is ``system._reflect(values(g), s)`` and
     degree(x) = degree(g) + v * steps[s].  Degrees only grow along the
     table, so x is kept when g is, and its degree is inside the bound; the
@@ -314,11 +343,8 @@ def _walk_below(system: CoxeterSystem, J, values, steps, dim, bound=None):
 def _index_degrees(strat: Stratification, bound=None):
     """``{id: lambda' - w(lambda')}`` for the index set's w, by id (its
     position), that lie below ``bound`` (:func:`_walk_below`)."""
-    system = strat.system
-    values = _start_values(*_integer_point(strat.datum, strat.simple_roots,
-                                           strat.lambda_prime, None))
-    return _walk_below(system, tuple(coxeter._positions(system, strat.singular)), values,
-                       strat.simple_coroots, strat.datum.rank, bound)
+    return _walk_below(strat.system, strat.J, strat.values, strat.simple_coroots,
+                       strat.datum.rank, bound)
 
 
 def strata_for_degree(strat: Stratification, alpha):

@@ -212,13 +212,12 @@ def kl_polynomial(system: CoxeterSystem, y: CoxeterElement, w: CoxeterElement,
     return res
 
 
-def kl_mu(system: CoxeterSystem, z: CoxeterElement, v: CoxeterElement,
-          file_cache: "KLFileCache|None" = None) -> int:
+def kl_mu(system: CoxeterSystem, z: CoxeterElement, v: CoxeterElement) -> int:
     """The mu-coefficient: top-degree coefficient of P_{z,v} when the gap is odd."""
     gap = len(v.word) - len(z.word)
     if gap <= 0 or gap % 2 == 0:
         return 0
-    poly = kl_polynomial(system, z, v, file_cache=file_cache)
+    poly = kl_polynomial(system, z, v)
     half = (gap - 1) // 2
     return poly[half] if len(poly) > half else 0
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import coxeter
-from .coxeter import CoxeterElement, _positions
+from .coxeter import CoxeterElement
 from .endoscopy import Stratification, _index_degrees
 from .kl import _fill, _kl_column, _padd, _pshift
 from .linalg import invert_unitriangular
@@ -60,8 +60,7 @@ def multiplicity_polynomial(strat: Stratification, w: CoxeterElement,
     """Graded multiplicity of the y-simple in the w-Verma (tuple of coeffs)."""
     if w not in strat.index_set or y not in strat.index_set:
         raise ValueError("multiplicities are indexed by the stratification's index set")
-    J = tuple(_positions(strat.system, strat.singular))
-    return _kl_column(strat.system, y, J).get(strat.index_set.index(w), ())
+    return _kl_column(strat.system, y, strat.J).get(strat.index_set.index(w), ())
 
 
 def multiplicity(strat: Stratification, w: CoxeterElement, y: CoxeterElement) -> int:
@@ -77,11 +76,9 @@ def multiplicity_matrix(strat: Stratification):
     columns, {w <= y} for each y, evaluating each distinct polynomial at
     q = 1 once.
     """
-    system = strat.system
-    J = tuple(_positions(system, strat.singular))
-    system._ensure_tables(J=J)
+    strat.system._ensure_tables(J=strat.J)
     n = len(strat.index_set)
-    kl = _fill(system, J, range(n))
+    kl = _fill(strat.system, strat.J, range(n))
     matrix = [[0] * n for _ in range(n)]
     values = {}
     for y in range(n):

@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .rootdata import RootDatum, RationalCoweight, pairing
-from .endoscopy import stratify
+from .rootdata import RootDatum, RationalCoweight
+from .endoscopy import _index_degrees, stratify
 from .multiplicity import graded_partition_polynomial, index_highest_weights
 from .linalg import rank, rref
 
@@ -305,15 +305,7 @@ def _height_grid(rank_, depth):
 
 def required_depth(strat) -> int:
     """Coroot-height diameter of the linkage orbit, plus a safety margin."""
-    top = strat.lambda_prime
-    heights = []
-    for hw in index_highest_weights(strat):
-        diff = tuple(t - Fraction(h) - r
-                     for t, h, r in zip(top, hw, strat.datum.rho))
-        if not all(d.denominator == 1 and d >= 0 for d in diff):
-            raise AssertionError("index weights must lie below the top weight")
-        heights.append(sum(int(d) for d in diff))
-    return max(heights) + 2
+    return max(map(sum, _index_degrees(strat).values())) + 2
 
 
 def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
@@ -337,11 +329,7 @@ def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
             f"need at least {need}")
     hws = index_highest_weights(strat)
     size = len(hws)
-    top = tuple(t - r for t, r in zip(strat.lambda_prime, datum.rho))
-    drops = []
-    for hw in hws:
-        diff = tuple(int(t - h) for t, h in zip(top, hw))
-        drops.append(diff)
+    drops = list(_index_degrees(strat).values())
     order = sorted(range(size), key=lambda k: (sum(drops[k]), drops[k]))
 
     models = [

@@ -12,6 +12,9 @@ library computes another way, or checks a model the library does not use:
   action w(rho) that spells canonical words, descents and the Bruhat order;
 * :func:`subgroup_matrices`, the whole reflection subgroup as coweight
   matrices, against the integral subsystem;
+* :func:`invariant_form`, the minimal even invariant form on coweights,
+  against the critical-level weights ``<beta, lambda'>`` times the
+  squared-length ratio of beta;
 * the translation model of an affinization: :func:`coweight_action`,
   :func:`translation_element`, :func:`affine_decompose`,
   :func:`affine_length_from_parts` and :func:`translation_length`.
@@ -42,7 +45,7 @@ def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
     refuse everything above it too, as a bound on the degree
     ``start - point`` does.  The walk itself runs on integer numerators.
     """
-    rows, d, point, shifts = _integer_point(datum, roots, start, shifts)
+    rows, d, point, shifts = _integer_point(datum, roots, start, shifts or [0] * len(roots))
     if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
         raise ValueError("the start of an orbit walk must be dominant")
 
@@ -142,6 +145,18 @@ def column_interval(system: CoxeterSystem, word) -> frozenset:
     for s in reversed(column_canonical(system, word)):
         below |= {column_canonical(system, (s,) + y) for y in below}
     return frozenset(below)
+
+
+def invariant_form(datum: RootDatum, v, w) -> Fraction:
+    """The minimal even invariant form of two coweight vectors.
+
+    Its Gram matrix in simple coroots is column j of the Cartan matrix scaled
+    by |theta|^2 / |alpha_j|^2 = theta_j / theta^vee_j; coroots of long roots
+    get squared length 2.
+    """
+    ratios = [t // t_vee for t, t_vee in zip(datum.highest_root, datum.highest_root_coroot)]
+    return sum(Fraction(v[i]) * ratios[j] * a * w[j]
+               for i, row in enumerate(datum.cartan_matrix) for j, a in enumerate(row))
 
 
 # -- the translation model of an affinization ---------------------------------

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,8 @@ from weylkl.coxeter import (
     left_descents,
     right_descents,
 )
-from weylkl.endoscopy import simple_system, stratify
+from weylkl.endoscopy import (
+    _affine_inversions, _integer_point, _value, simple_system, stratify)
 from weylkl.affine import (
     AffineCoweight,
     LevelClass,
@@ -27,11 +29,10 @@ from weylkl.affine import (
     affine_strata_index,
     classify_level,
     critical_strata_index,
-    invariant_form,
     length_ratio,
     negate,
 )
-from reference import orbit_walk
+from reference import invariant_form, orbit_walk
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -503,7 +504,9 @@ def test_strata_index_is_closed_downward_along_fld():
 def test_critical_strata_match_the_orbit_walk_on_seeded_coweights(letter, rank):
     """At degrees of orbit points and at random degrees with no imaginary
     part, where the only correction is alpha = 0, the solutions are the
-    orbit walk's points at exactly that degree."""
+    orbit walk's points at exactly that degree.  At a degree t*delta the
+    solutions are e with every alpha whose invariant form with lambda'
+    accounts for t, in units of the minimal imaginary coroot."""
     datum = build_root_datum(letter, rank)
     rng = random.Random(f"critical walk {letter}{rank}")
     solved = 0
@@ -529,6 +532,14 @@ def test_critical_strata_match_the_orbit_walk_on_seeded_coweights(letter, rank):
                 if tuple(a - b for a, b in zip(lam, point)) == beta_fin)
             assert critical_strata_index(s, (beta_fin, 0)) == expected, (x, beta_fin)
             solved += bool(expected)
+        forms = [invariant_form(datum, coroot, lam)
+                 for coroot, _c in s.simple_coroots[:len(s.finite_labels)]]
+        for t in range(4) if s.delta_zeta else (0,):
+            target = Fraction(t, s.delta_zeta or 1)
+            alphas = [alpha for alpha in product(*(range(t + 1) if form else (0,) for form in forms))
+                      if sum(a * form for a, form in zip(alpha, forms)) == target]
+            assert critical_strata_index(s, ((0,) * rank, t)) == tuple(
+                (s.system.identity, alpha) for alpha in alphas), (x, t)
     assert solved >= 12
 
 
@@ -536,7 +547,12 @@ def test_critical_strata_match_the_orbit_walk_on_seeded_coweights(letter, rank):
 def test_singular_set_is_where_the_fraction_pairing_vanishes(letter, rank):
     """The singular labels are those of the simple roots beta + m*delta with
     <beta, lambda'> + m*k = 0 in Fractions, at all three level classes;
-    at critical level (k = 0) the delta-roots among them too."""
+    at critical level (k = 0) the delta-roots among them too.  The stored
+    values are sign * (<beta, lambda'> + m*k); at critical level a value
+    times the squared-length ratio of beta is the invariant form of beta's
+    coroot with lambda'.  At noncritical level the straightening bound, the
+    number of integral positive affine roots negative at x, is the mover's
+    length."""
     datum = build_root_datum(letter, rank)
     rng = random.Random(f"singular set {letter}{rank}")
     seen = set()
@@ -553,6 +569,19 @@ def test_singular_set_is_where_the_fraction_pairing_vanishes(letter, rank):
             label for label, (beta, m) in zip(s.labels, s.simple_roots)
             if pairing(datum, beta, s.lambda_prime) + m * s.level == 0)
         assert s.singular == expected, x
+        sign = -1 if s.level_class is LevelClass.NEGATIVE else 1
+        assert s.values == tuple(sign * (pairing(datum, beta, s.lambda_prime) + m * s.level)
+                                 for beta, m in s.simple_roots), x
+        if s.level_class is LevelClass.CRITICAL:
+            assert all(value * length_ratio(datum, beta)
+                       == invariant_form(datum, coroot, s.lambda_prime)
+                       for value, (beta, _m), (coroot, _c)
+                       in zip(s.values, s.simple_roots, s.simple_coroots)), x
+        else:
+            rows, d, point, (k,) = _integer_point(datum, datum.positive_roots,
+                                                  x.finite_part, [x.level])
+            count = _affine_inversions([_value(row, 0, point) for row in rows], k, d)
+            assert count == s.minimal_mover.length, x
         seen |= {(s.level_class, m > 0) for label, (_beta, m) in zip(s.labels, s.simple_roots)
                  if label in expected}
     assert {level for level, _delta in seen} == set(LevelClass)

@@ -173,6 +173,25 @@ def test_character_refuses_a_weight_cone_past_the_enumeration_limit(capsys):
     assert out.strip() == "simple module dimension: 500000"
 
 
+def test_affine_refuses_a_straightening_past_the_enumeration_limit(capsys):
+    """At level 1 the coweight 10^6 of A1 is 1,999,999 reflections from the
+    dominant chamber: the count is refused before the walk.  The coweight
+    10^5, 199,999 reflections, still runs."""
+    start = time.monotonic()
+    code, out, err = run(capsys, "affine", "--type", "A", "--rank", "1",
+                         "--lambda", "1000000", "--level", "1")
+    assert code == 1
+    assert out == ""
+    assert "enumeration limit" in err
+    assert "Traceback" not in err
+    assert time.monotonic() - start < 1.0
+    code, out, _ = run(capsys, "affine", "--type", "A", "--rank", "1",
+                       "--lambda", "100000", "--level", "1")
+    assert code == 0
+    mover = next(line for line in out.splitlines() if line.startswith("minimal mover: "))
+    assert mover.count(",") + 1 == 199_999
+
+
 def test_fold_example(capsys):
     code, out, _ = run(capsys, "fold", "--source", "A3", "--sigma", "3,2,1")
     assert code == 0

@@ -184,9 +184,10 @@ def _reference_blocks():
 
 
 def test_stratify_matches_a_fraction_straightening():
-    """lambda', the minimal mover and the singular set agree with Fraction
-    pairings and reflections on the small pool and seeded rank <= 4 blocks;
-    straightening a RationalCoweight equals straightening its vector."""
+    """lambda', the minimal mover, the singular set and the values of the
+    simple roots at lambda' agree with Fraction pairings and reflections on
+    the small pool and seeded rank <= 4 blocks; straightening a
+    RationalCoweight equals straightening its vector."""
     singular = 0
     for datum, lam in _reference_blocks():
         strat = stratify(datum, lam)
@@ -195,6 +196,9 @@ def test_stratify_matches_a_fraction_straightening():
         assert strat.minimal_mover == strat.system.element(labels), lam
         assert strat.minimal_mover.length == len(labels), lam
         assert strat.singular == expected, lam
+        assert strat.values == tuple(pairing(datum, beta, vec) for beta in strat.simple_roots), lam
+        assert all(type(value) is int for value in strat.values), lam
+        assert strat.J == tuple(label - 1 for label in sorted(expected)), lam
         assert (straighten(datum, strat.system, strat.simple_roots, strat.simple_coroots, lam)
                 == straighten(datum, strat.system, strat.simple_roots, strat.simple_coroots,
                               lam.vector)), lam
@@ -357,14 +361,14 @@ from weylkl.rootdata import RationalCoweight, build_root_datum
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
 strat = stratify(build_root_datum("A", 2), RationalCoweight((2, 2), 1))
-index_highest_weights(dataclasses.replace(strat, lambda_prime=(-2, -2)))
+index_highest_weights(dataclasses.replace(strat, values=(-2, -2)))
 """
 
 
 def test_non_dominant_lambda_prime_raises_under_optimize():
-    """A step of the table that does not pair positively is a raise, so a
-    lambda' that is not dominant is caught even when asserts are compiled
-    away."""
+    """A step of the table that does not pair positively is a raise, so
+    values of a lambda' that is not dominant are caught even when asserts
+    are compiled away."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylkl.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", _NON_DOMINANT], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -1,10 +1,11 @@
 """The library states its invariants with ``raise``, so they hold under
-``python -O``, every global name a function reads is bound, and every
-module exports only names it defines."""
+``python -O``, every global name a function reads is bound, every name a
+module imports is used, and every module exports only names it defines."""
 
 import ast
 import builtins
 import importlib
+import re
 import symtable
 from pathlib import Path
 
@@ -58,6 +59,30 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(f"weylkl.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names {missing} that do not exist"
+
+
+def _unused_imports(path):
+    """(line, name) for each name that ``path`` imports but never reads; a
+    name in ``__all__`` or on a ``>>>`` doctest line counts as read."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(getattr(importlib.import_module(f"weylkl.{path.stem}"), "__all__", ()))
+    for line in source.splitlines():
+        if line.lstrip().startswith(">>>"):
+            read |= set(re.findall(r"[A-Za-z_]\w*", line))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name}: imported and never used {unused}"
 
 
 # Each module-level cache pins everything it ever returns, so a new one must
