@@ -31,7 +31,10 @@ integral roots with delta-coefficient at most ``2 * period``.  The window
 is exact: a non-simple gamma is refuted by a simple root below it, so in
 the window; and a simple root has the least delta-coefficient of its finite
 part, at most ``period`` (``(beta, m + period)`` is not simple already in
-the rank-one system of ``+-beta``).
+the rank-one system of ``+-beta``).  Every component of their Cartan matrix
+is affine, and the marks that prove it (:func:`weylkl.coxeter._classify`)
+sum the simple coroots to that component's imaginary coroot; the gcd of
+their imaginary parts is ``delta_zeta``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
+from .coxeter import CoxeterElement, CoxeterSystem, _classify, parabolic_quotient
 from .endoscopy import (
     _integer_point, _value, _walk_below, simple_system, straighten, subsystem_cartan)
-from .linalg import kernel_basis
 from .rootdata import RootDatum
 
 
@@ -155,24 +157,6 @@ def _integral_window(datum: RootDatum, vec, k, m_max):
     return out
 
 
-def _left_null_marks(gcm, positions):
-    """Primitive positive integer left null vector of an affine sub-matrix.
-
-    An indecomposable Cartan matrix is affine iff it has a positive null
-    vector (Kac, Infinite-dimensional Lie algebras, Cor. 4.3), and its
-    transpose has the same type: the marks prove the component affine.
-    """
-    idx = sorted(positions)
-    # x with sum_i x_i * gcm[idx[i]][idx[j]] = 0: the kernel of the transpose
-    basis = kernel_basis([[gcm[i][j] for i in idx] for j in idx])
-    if len(basis) != 1:
-        raise AssertionError("component does not have a one-dimensional null space")
-    marks = basis[0]
-    if not all(c > 0 for c in marks):
-        raise AssertionError("null marks of an affine component must be positive")
-    return dict(zip(idx, marks))
-
-
 # ---------------------------------------------------------------------------
 # the affine stratification datum
 
@@ -250,7 +234,9 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
 
     imaginary = []
     for comp in system._components():
-        marks = _left_null_marks(gcm, comp)
+        kind, marks = _classify(gcm, comp)
+        if kind != "affine":
+            raise AssertionError("every component of an integral affine system must be affine")
         fin = [0] * datum.rank
         c_part = 0
         for pos, mark in marks.items():

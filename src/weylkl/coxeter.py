@@ -18,6 +18,11 @@ projections, double coset minima, the Bruhat order and the straightening
 of a coweight all go through it, and every orbit the other modules walk
 moves by the same rule, ``CoxeterSystem._reflect``.
 
+A system is finite, affine or indefinite by Kac's trichotomy on each
+indecomposable block A of its Cartan matrix: one integer kernel of
+[A^T | -1] decides it, and on an affine block its vector is the marks of
+the minimal imaginary coroot (``_classify``).
+
 Parabolic quotients W^J (J = () gives W) of finite systems, and
 length-bounded balls of affine ones, are walked lazily into tables along
 the orbit of rho_J, one table per J, with left products, canonical words
@@ -35,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from operator import sub
 
-from .linalg import eliminate, kernel_basis
+from .linalg import kernel_basis
 from .rootdata import RootDatum, _simple_reflect_root, build_root_datum, pairing
 
 __all__ = [
@@ -127,26 +131,10 @@ class CoxeterSystem:
     @property
     def kind(self):
         """'finite', 'affine' (a product of finite/affine parts), or 'indefinite'."""
-        if self._kind is not None:
-            return self._kind
-        kinds = set()
-        for comp in self._components():
-            sub = [[self.gcm[i][j] for j in comp] for i in comp]
-            d = _symmetrizer(sub)
-            if d is None:  # finite and affine matrices are symmetrizable (Kac, ch. 4)
-                kinds.add("indefinite")
-                continue
-            # positive definite, or positive semidefinite of corank one with
-            # every proper leading block definite (an affine component)
-            minors = _leading_minors([[d[i] * a for a in row] for i, row in enumerate(sub)])
-            if all(m > 0 for m in minors):
-                kinds.add("finite")
-            elif all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
-                kinds.add("affine")
-            else:
-                kinds.add("indefinite")
-        self._kind = ("finite" if kinds <= {"finite"}
-                      else "indefinite" if "indefinite" in kinds else "affine")
+        if self._kind is None:
+            kinds = {_classify(self.gcm, comp)[0] for comp in self._components()}
+            self._kind = ("finite" if kinds <= {"finite"}
+                          else "indefinite" if "indefinite" in kinds else "affine")
         return self._kind
 
     @property
@@ -318,28 +306,21 @@ class CoxeterSystem:
         return ident
 
 
-def _symmetrizer(gcm):
-    """The primitive positive integers d_i that make d_i * gcm[i][j]
-    symmetric, for an indecomposable Cartan matrix: the kernel of the
-    equations d_i * gcm[i][j] = d_j * gcm[j][i], or None when there is none."""
-    n = len(gcm)
-    equations = [[0] * n]  # keeps the column count when there is one node
-    for i, j in combinations(range(n), 2):
-        if gcm[i][j]:
-            row = [0] * n
-            row[i], row[j] = gcm[i][j], -gcm[j][i]
-            equations.append(row)
-    basis = kernel_basis(equations)
-    return basis[0] if len(basis) == 1 else None
-
-
-def _leading_minors(gram):
-    """D_1, ..., D_n: the determinants of the leading principal blocks."""
-    minors = []
-    for k in range(1, len(gram) + 1):
-        _, pivots, d = eliminate([row[:k] for row in gram[:k]])
-        minors.append(d if len(pivots) == k else 0)
-    return minors
+def _classify(gcm, comp):
+    """``(kind, marks)`` of the indecomposable block of ``gcm`` on the
+    positions ``comp``, by Kac's trichotomy (Infinite-dimensional Lie
+    algebras, Thm. 4.3; a block and its transpose have the same type,
+    Cor. 4.3) read off the kernel of [A^T | -1]: the (u, c) with
+    A^T u = c * 1.  The block is finite when that kernel is one primitive
+    vector with u > 0 and c > 0, affine when it is one with u > 0 and
+    c = 0 (u is then the left null vector), and indefinite otherwise.
+    ``marks`` is {position: u_i} for a finite or affine block, else None.
+    """
+    basis = kernel_basis([[gcm[i][j] for i in comp] + [-1] for j in comp])
+    *u, c = basis[0]
+    if len(basis) > 1 or c < 0 or min(u) <= 0:
+        return "indefinite", None
+    return ("finite" if c else "affine"), dict(zip(comp, u))
 
 
 @dataclass(frozen=True)

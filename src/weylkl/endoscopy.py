@@ -64,16 +64,8 @@ __all__ = [
 
 def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
     """Indices (into datum.positive_roots) of roots pairing integrally with lam."""
-    n = lam.n
-    mu = lam.mu
-    out = []
-    for k, row in enumerate(datum.pairing_rows):
-        total = 0
-        for r, m in zip(row, mu):
-            total += r * m
-        if total % n == 0:
-            out.append(k)
-    return tuple(out)
+    mu, n = lam.mu, lam.n
+    return tuple(k for k, row in enumerate(datum.pairing_rows) if not sum(map(mul, row, mu)) % n)
 
 
 def _integer_data(datum: RootDatum, roots):
@@ -219,13 +211,15 @@ def _value(row, shift, point):
     return sum(map(mul, row, point)) + shift
 
 
-def _affine_inversions(values, k, d):
-    """The number of integral positive affine roots ``beta + m*delta`` with
-    ``sign * (<beta, x> + m*k/d) < 0``, ``sign`` that of ``k != 0``, from
-    the numerators ``values`` over ``d`` of ``<beta, x>`` for the positive
-    finite roots: for each of +-beta, the m counted are one residue class
-    mod ``d/gcd(k, d)``, from 0 (1 for -beta) to where the value turns
-    nonnegative."""
+def _inversions(values, k, d):
+    """The number of integral positive roots ``beta + m*delta`` with
+    ``sign * (<beta, x> + m*k/d) < 0``, from the numerators ``values`` over
+    ``d`` of ``<beta, x>`` for the positive finite roots; at ``k = 0`` the
+    finite roots alone.  ``sign`` is that of k, and for each of +-beta the m
+    counted are one residue class mod ``d/gcd(k, d)``, from 0 (1 for -beta)
+    to where the value turns nonnegative."""
+    if not k:
+        return sum(1 for value in values if value < 0 and not value % d)
     b, sign = abs(k), 1 if k > 0 else -1
     g = math.gcd(b, d)
     q = d // g
@@ -247,41 +241,39 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, lev
     ``level`` k, affine roots ``(beta, m)``, with values
     ``sign * (<beta, vec> + m*k)``; ``sign = -1`` at negative level
     straightens to the antidominant chamber, and at critical level only the
-    roots with ``m = 0`` move.  ``system._descend`` strips the first
-    negative value until none is left, within the mover's length: |Phi+| in
-    a finite group, else :func:`_affine_inversions`, refused past the
-    enumeration limit.  ``vec`` (a coweight vector or a
-    :class:`~weylkl.rootdata.RationalCoweight`) replayed along the stripped
-    word is ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``:
-    ``mover``, spelled by the stripped word, is the minimal element taking
-    ``lambda_prime`` back to ``vec``, and ``values`` are the integer values
-    at ``lambda_prime``; only ``lambda_prime`` is made of Fractions.
+    roots with ``m = 0`` move.  ``system._descend`` strips the smallest
+    negative value until none is left: the mover is a minimal coset
+    representative, so that is its canonical word, and its length is the
+    number of integral positive roots negative at ``vec`` (:func:`_inversions`,
+    refused past the enumeration limit).  ``vec`` (a coweight vector or a
+    :class:`~weylkl.rootdata.RationalCoweight`) replayed along the word is
+    ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``: ``mover``
+    is the minimal element taking ``lambda_prime`` back to ``vec``, and
+    ``values`` are the integer values there; only ``lambda_prime`` is made of Fractions.
     """
-    shifts, gens, sign, bound = [0] * len(roots), None, 1, len(datum.positive_roots)
+    shifts, gens, sign = [0] * len(roots), None, 1
     if level is not None:
         shifts = [m * level for _beta, m in roots]
-        if level:
-            sign = 1 if level > 0 else -1
-            rows, d, point, (k,) = _integer_point(datum, datum.positive_roots, vec, [level])
-            bound = _affine_inversions([_value(row, 0, point) for row in rows], k, d)
-            if bound > coxeter._ENUM_LIMIT:
-                raise ValueError(f"straightening takes {bound} reflections, more than "
-                                 f"the enumeration limit {coxeter._ENUM_LIMIT}")
-        else:
+        sign = -1 if level < 0 else 1
+        if not level:
             gens = [i for i, (_beta, m) in enumerate(roots) if not m]
         roots = [beta for beta, _m in roots]
-    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts)
+    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts + [level or 0])
+    length = _inversions([sum(map(mul, row, point)) for row in datum.pairing_rows],
+                         shifts.pop(), d)
+    if length > coxeter._ENUM_LIMIT:
+        raise ValueError(f"straightening takes {length} reflections, more than "
+                         f"the enumeration limit {coxeter._ENUM_LIMIT}")
     values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
     if any(value % d for value in values):
         raise AssertionError("integral pairings must stay integral")
-    word, values = system._descend(tuple(value // d for value in values), bound, gens)
-    mover = CoxeterElement(system, system._canonical(word))
-    if len(mover.word) != len(word):
-        raise AssertionError("straightening word must be reduced")
+    word, values = system._descend(tuple(value // d for value in values), length, gens)
+    if len(word) != length:
+        raise AssertionError("the straightening word must have the mover's length")
     for i in word:
         value = _value(rows[i], shifts[i], point)
         point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
-    return tuple(Fraction(c, d) for c in point), mover, values
+    return tuple(Fraction(c, d) for c in point), CoxeterElement(system, word), values
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:

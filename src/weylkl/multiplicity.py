@@ -182,11 +182,14 @@ def _index_position(strat, y):
 
 def _inverse_row(strat, row):
     """Row ``row`` of the inverse multiplicity matrix M^-1: the a with
-    a M = e_row, zero left of ``row``, solved forward in O(n^2)."""
-    mat = multiplicity_matrix(strat)
-    a = [int(j == row) for j in range(len(mat))]
-    for j in range(row + 1, len(mat)):
-        a[j] = -sum(a[k] * mat[k][j] for k in range(row, j))
+    a M = e_row, zero left of ``row``, solved forward along the filled
+    columns {w: P_{w,y}} of the table of W^J, each polynomial at q = 1."""
+    strat.system._ensure_tables(J=strat.J)
+    n = len(strat.index_set)
+    kl = _fill(strat.system, strat.J, range(n))
+    a = [int(j == row) for j in range(n)]
+    for j in range(row + 1, n):  # a[j] is still 0 in its own column
+        a[j] = -sum(a[w] * sum(poly) for w, poly in kl[j].items() if a[w])
     return a
 
 

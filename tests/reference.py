@@ -12,6 +12,9 @@ library computes another way, or checks a model the library does not use:
   action w(rho) that spells canonical words, descents and the Bruhat order;
 * :func:`subgroup_matrices`, the whole reflection subgroup as coweight
   matrices, against the integral subsystem;
+* :func:`cartan_kind`, the type of a Cartan matrix from the leading
+  principal minors of its symmetrization (:func:`symmetrizer`,
+  :func:`leading_minors`), against Kac's trichotomy read off one kernel;
 * :func:`invariant_form`, the minimal even invariant form on coweights,
   against the critical-level weights ``<beta, lambda'>`` times the
   squared-length ratio of beta;
@@ -21,10 +24,12 @@ library computes another way, or checks a model the library does not use:
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from weylkl import coxeter
 from weylkl.coxeter import CoxeterElement, CoxeterSystem, weyl_system
 from weylkl.endoscopy import _integer_point, _value, endoscopic_system
+from weylkl.linalg import eliminate, kernel_basis
 from weylkl.rootdata import RootDatum, pairing, reflect, reflect_coweight_by_root
 
 
@@ -145,6 +150,52 @@ def column_interval(system: CoxeterSystem, word) -> frozenset:
     for s in reversed(column_canonical(system, word)):
         below |= {column_canonical(system, (s,) + y) for y in below}
     return frozenset(below)
+
+
+def symmetrizer(gcm):
+    """The primitive positive integers d_i that make d_i * gcm[i][j]
+    symmetric, for an indecomposable Cartan matrix: the kernel of the
+    equations d_i * gcm[i][j] = d_j * gcm[j][i], or None when there is none."""
+    n = len(gcm)
+    equations = [[0] * n]  # keeps the column count when there is one node
+    for i, j in combinations(range(n), 2):
+        if gcm[i][j]:
+            row = [0] * n
+            row[i], row[j] = gcm[i][j], -gcm[j][i]
+            equations.append(row)
+    basis = kernel_basis(equations)
+    return basis[0] if len(basis) == 1 else None
+
+
+def leading_minors(gram):
+    """D_1, ..., D_n: the determinants of the leading principal blocks."""
+    minors = []
+    for k in range(1, len(gram) + 1):
+        _, pivots, d = eliminate([row[:k] for row in gram[:k]])
+        minors.append(d if len(pivots) == k else 0)
+    return minors
+
+
+def cartan_kind(gcm):
+    """'finite', 'affine' or 'indefinite', as ``CoxeterSystem.kind``, from
+    the symmetrized blocks: finite and affine matrices are symmetrizable
+    (Kac, Infinite-dimensional Lie algebras, ch. 4); a finite block is
+    positive definite, and an affine one positive semidefinite of corank
+    one with every proper leading block definite."""
+    kinds = set()
+    for comp in CoxeterSystem(gcm)._components():
+        block = [[gcm[i][j] for j in comp] for i in comp]
+        d = symmetrizer(block)
+        minors = [-1] if d is None else leading_minors(
+            [[d[i] * a for a in row] for i, row in enumerate(block)])
+        if all(m > 0 for m in minors):
+            kinds.add("finite")
+        elif all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
+            kinds.add("affine")
+        else:
+            kinds.add("indefinite")
+    return ("finite" if kinds <= {"finite"}
+            else "indefinite" if "indefinite" in kinds else "affine")
 
 
 def invariant_form(datum: RootDatum, v, w) -> Fraction:

@@ -11,14 +11,13 @@ from weylkl.rootdata import RationalCoweight, build_root_datum, pairing
 from weylkl.cli import main
 from weylkl.coxeter import (
     _positions,
-    _symmetrizer,
     affinization,
     double_coset_minimum,
     left_descents,
     right_descents,
 )
 from weylkl.endoscopy import (
-    _affine_inversions, _integer_point, _value, simple_system, stratify)
+    _integer_point, _inversions, _value, simple_system, stratify)
 from weylkl.affine import (
     AffineCoweight,
     LevelClass,
@@ -32,7 +31,7 @@ from weylkl.affine import (
     length_ratio,
     negate,
 )
-from reference import invariant_form, orbit_walk
+from reference import invariant_form, orbit_walk, symmetrizer
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -134,7 +133,7 @@ REFERENCE_TYPES = (
 def _reference_ratio(datum, beta):
     """|theta|^2 / |beta|^2 from the symmetrized Cartan matrix d_i * a_ij,
     which is proportional to (alpha_i, alpha_j)."""
-    d = _symmetrizer(datum.cartan_matrix)
+    d = symmetrizer(datum.cartan_matrix)
     gram = [[d[i] * a for a in row] for i, row in enumerate(datum.cartan_matrix)]
 
     def norm(vec):
@@ -550,9 +549,9 @@ def test_singular_set_is_where_the_fraction_pairing_vanishes(letter, rank):
     at critical level (k = 0) the delta-roots among them too.  The stored
     values are sign * (<beta, lambda'> + m*k); at critical level a value
     times the squared-length ratio of beta is the invariant form of beta's
-    coroot with lambda'.  At noncritical level the straightening bound, the
-    number of integral positive affine roots negative at x, is the mover's
-    length."""
+    coroot with lambda'.  At every level the straightening bound, the
+    number of integral positive (affine) roots negative at x, is the
+    mover's length, and so it is for the finite stratification of mu/n."""
     datum = build_root_datum(letter, rank)
     rng = random.Random(f"singular set {letter}{rank}")
     seen = set()
@@ -577,11 +576,12 @@ def test_singular_set_is_where_the_fraction_pairing_vanishes(letter, rank):
                        == invariant_form(datum, coroot, s.lambda_prime)
                        for value, (beta, _m), (coroot, _c)
                        in zip(s.values, s.simple_roots, s.simple_coroots)), x
-        else:
-            rows, d, point, (k,) = _integer_point(datum, datum.positive_roots,
-                                                  x.finite_part, [x.level])
-            count = _affine_inversions([_value(row, 0, point) for row in rows], k, d)
-            assert count == s.minimal_mover.length, x
+        rows, d, point, (k,) = _integer_point(datum, datum.positive_roots,
+                                              x.finite_part, [x.level])
+        values = [_value(row, 0, point) for row in rows]
+        assert _inversions(values, k, d) == s.minimal_mover.length, x
+        assert _inversions(values, 0, d) == stratify(
+            datum, RationalCoweight(x.mu, x.n)).minimal_mover.length, x
         seen |= {(s.level_class, m > 0) for label, (_beta, m) in zip(s.labels, s.simple_roots)
                  if label in expected}
     assert {level for level, _delta in seen} == set(LevelClass)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -9,10 +10,11 @@ from math import prod
 
 import pytest
 
-from weylkl.affine import _left_null_marks
+from weylkl.affine import AffineCoweight, affine_endoscopy
 from weylkl.rootdata import build_root_datum
 from weylkl.coxeter import (
     CoxeterSystem,
+    _classify,
     affinization,
     bruhat_leq,
     double_coset_minimum,
@@ -28,6 +30,7 @@ from weylkl.kl import kl_table
 from reference import (
     affine_decompose,
     affine_length_from_parts,
+    cartan_kind,
     column_canonical,
     column_descents,
     column_interval,
@@ -89,21 +92,58 @@ def test_kind_of_every_finite_type_and_its_affinization(letter, rank):
     assert CoxeterSystem(gcm).kind == "affine"
     # the minimal imaginary coroot is alpha_0^vee + theta^vee
     marks = {i + 1: c for i, c in enumerate(datum.highest_root_coroot)}
-    assert _left_null_marks(gcm, range(rank + 1)) == {0: 1, **marks}
+    assert _classify(gcm, range(rank + 1)) == ("affine", {0: 1, **marks})
 
 
 def test_twisted_affine_kind_and_null_marks():
     # A_2^(2): 2 alpha_0^vee + alpha_1^vee pairs to zero with both roots
     gcm = [[2, -1], [-4, 2]]
     assert CoxeterSystem(gcm).kind == "affine"
-    assert _left_null_marks(gcm, {0, 1}) == {0: 2, 1: 1}
+    assert _classify(gcm, [0, 1]) == ("affine", {0: 2, 1: 1})
 
 
-@pytest.mark.parametrize("gcm", [A2.cartan_matrix, [[2, -3], [-3, 2]]],
-                         ids=["finite", "indefinite"])
-def test_null_marks_of_a_non_affine_matrix_are_an_internal_error(gcm):
-    with pytest.raises(AssertionError, match="one-dimensional null space"):
-        _left_null_marks(gcm, {0, 1})
+@pytest.mark.parametrize("gcm,kind,marks", [
+    (A2.cartan_matrix, "finite", {0: 1, 1: 1}),
+    ([[2, -3], [-3, 2]], "indefinite", None),
+], ids=["finite", "indefinite"])
+def test_null_marks_of_a_non_affine_matrix_are_an_internal_error(monkeypatch, gcm, kind, marks):
+    """A non-affine block has no null marks, and an integral affine system
+    whose component classifies so is an internal error."""
+    assert _classify(gcm, [0, 1]) == (kind, marks)
+    monkeypatch.setattr("weylkl.affine._classify", lambda _gcm, _comp: _classify(gcm, [0, 1]))
+    with pytest.raises(AssertionError, match="every component of an integral affine "
+                                             "system must be affine"):
+        affine_endoscopy(A1, AffineCoweight.from_level((1,), 1))
+
+
+def _classification_stream(count):
+    """``count`` seeded Cartan matrices of rank 1 to 6: sparse graphs with
+    small entries, so that finite and affine blocks come up often, and
+    non-symmetrizable cycles among the rest."""
+    rng = random.Random("classification")
+    pairs = [(-1, -1)] * 6 + [(-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2),
+                              (-1, -4), (-4, -1), (-2, -3)]
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        density = rng.choice((0.3, 0.5, 0.7))
+        gcm = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            if rng.random() < density:
+                gcm[i][j], gcm[j][i] = rng.choice(pairs)
+        yield gcm
+
+
+def test_kind_matches_the_symmetrized_leading_minors():
+    """Kac's trichotomy on one kernel agrees with the reference
+    classification, symmetrize and read the leading minors, on 2,000
+    seeded matrices of every kind, non-symmetrizable ones included."""
+    seen = Counter()
+    for gcm in _classification_stream(2000):
+        kind = CoxeterSystem(gcm).kind
+        assert kind == cartan_kind(gcm), gcm
+        seen[kind, _symmetrizable(gcm)] += 1
+    assert min(seen[kind, True] for kind in ("finite", "affine", "indefinite")) >= 100, seen
+    assert seen["indefinite", False] >= 100 and sum(seen.values()) == 2000, seen
 
 
 def test_non_symmetrizable_cartan_matrix_is_indefinite():

@@ -1,6 +1,7 @@
 """The library states its invariants with ``raise``, so they hold under
 ``python -O``, every global name a function reads is bound, every name a
-module imports is used, and every module exports only names it defines."""
+module imports is used, every private helper has a caller, and every module
+exports only names it defines."""
 
 import ast
 import builtins
@@ -83,6 +84,34 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name}: imported and never used {unused}"
+
+
+def _uncalled_private_helpers():
+    """(module, name) for each module-level ``_name`` of ``src/weylkl``
+    that no code in ``src/weylkl`` reads outside its own definition."""
+    defined, read = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined += [(path.name, name) for name in own
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name not in own:
+                    read.add(name)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    uncalled = _uncalled_private_helpers()
+    assert not uncalled, f"private helpers that nothing in src reads: {uncalled}"
 
 
 # Each module-level cache pins everything it ever returns, so a new one must

@@ -424,3 +424,64 @@ def test_table_adds_no_copy_to_the_fill():
             tracemalloc.stop()
     fill_peak, table_peak = peaks
     assert table_peak - fill_peak < 1 << 20, peaks
+
+
+def _w_graph_generators(tab, rank):
+    """At q = 1, each generator s on the KL basis C_w of a whole table:
+    s C_w = -C_w when s is in desc[w], and otherwise C_w plus
+    sum mu~(y, w) C_y over the y with s in desc[y], where mu~ is the
+    fill's mu-lists made symmetric (the W-graph of KL 1979, section 1).
+    Returns, per s, the w with s in desc[w] and the other w with their
+    terms."""
+    desc = tab["desc"]
+    edges = [[] for _ in desc]
+    for w, mus in tab["mu"].items():
+        for y, mu in mus:
+            edges[w].append((y, mu))
+            edges[y].append((w, mu))
+    gens = []
+    for s in range(rank):
+        bit = 1 << s
+        down = [w for w, mask in enumerate(desc) if mask & bit]
+        up = [(w, [(y, mu) for y, mu in edges[w] if desc[y] & bit])
+              for w, mask in enumerate(desc) if not mask & bit]
+        gens.append((down, up))
+    return gens
+
+
+def _act(gen, vec):
+    down, up = gen
+    out = list(vec)
+    for w in down:
+        out[w] = -vec[w]
+    for w, terms in up:
+        x = vec[w]
+        if x:
+            for y, mu in terms:
+                out[y] += mu * x
+    return out
+
+
+@pytest.mark.parametrize("letter,rank", [("B", 4), ("A", 5), ("F", 4), ("D", 5), ("A", 6)])
+def test_w_graph_of_the_fill_is_a_representation_of_w(letter, rank):
+    """The mu-lists and descent masks of a whole table give the regular
+    representation of W: on a seeded integer vector, s^2 = 1 and
+    (st)^m_st = 1 for every pair of generators.  Each braid relation ties
+    together mu values that the fill computed in separate columns.  A mu on
+    an edge whose two descent masks are equal never acts, so this cannot
+    see it; one on an edge with incomparable or strictly nested masks
+    does act."""
+    system = CoxeterSystem(build_root_datum(letter, rank).cartan_matrix)
+    kl_table(system)
+    tab = system._tabs[()]
+    gens = _w_graph_generators(tab, rank)
+    rng = random.Random(f"w-graph {letter}{rank}")
+    vec = [rng.randint(-9, 9) for _ in tab["desc"]]
+    orders = {0: 2, 1: 3, 2: 4, 3: 6}
+    for s in range(rank):
+        assert _act(gens[s], _act(gens[s], vec)) == vec, s
+        for t in range(s + 1, rank):
+            out = vec
+            for _ in range(orders[system.gcm[s][t] * system.gcm[t][s]]):
+                out = _act(gens[s], _act(gens[t], out))
+            assert out == vec, (s, t)

