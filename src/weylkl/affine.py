@@ -40,14 +40,13 @@ their imaginary parts is ``delta_zeta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .coxeter import CoxeterElement, CoxeterSystem, _classify, parabolic_quotient
+from .coxeter import CoxeterSystem, _classify, parabolic_quotient
 from .endoscopy import (
     _integer_point, _value, _walk_below, simple_system, straighten, subsystem_cartan)
-from .rootdata import RootDatum
+from .rootdata import RootDatum, _Record
 
 
 class LevelClass(Enum):
@@ -58,8 +57,7 @@ class LevelClass(Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True)
-class AffineCoweight:
+class AffineCoweight(_Record):
     """A rational coweight of the affinized torus.
 
     ``mu/n`` is the finite part; ``pair = (a, b)`` is the integer projection
@@ -67,21 +65,21 @@ class AffineCoweight:
     level is ``-b/a``; vertical subgroups (``a == 0``) carry no level.
     """
 
-    mu: tuple
-    pair: tuple
-    n: int = 1
+    __slots__ = ("mu", "pair", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, mu, pair, n: int = 1):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("denominator must be a positive integer")
-        if not all(isinstance(c, int) for c in self.mu):
+        mu, pair = tuple(mu), tuple(pair)
+        if not all(isinstance(c, int) for c in mu):
             raise ValueError("finite coordinates must be integers")
-        if len(self.pair) != 2 or not all(isinstance(c, int) for c in self.pair):
+        if len(pair) != 2 or not all(isinstance(c, int) for c in pair):
             raise ValueError("projection pair must be a pair of integers")
-        if self.pair == (0, 0):
+        if pair == (0, 0):
             raise ValueError("projection pair must be nonzero")
-        object.__setattr__(self, "mu", tuple(self.mu))
-        object.__setattr__(self, "pair", tuple(self.pair))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_level(cls, mu, level_numerator, n=1):
@@ -161,8 +159,7 @@ def _integral_window(datum: RootDatum, vec, k, m_max):
 # the affine stratification datum
 
 
-@dataclass(frozen=True)
-class AffineStratification:
+class AffineStratification(_Record):
     """Integral affine combinatorics attached to an affine rational coweight.
 
     ``labels`` lists the system's generator labels in row order: the
@@ -171,20 +168,22 @@ class AffineStratification:
     positive delta-coefficient gets ``0, -1, -2, ...`` in turn.
     """
 
-    datum: RootDatum
-    x: AffineCoweight
-    level_class: LevelClass
-    period: int
-    integral_roots: tuple
-    labels: tuple
-    simple_roots: tuple       # pairs (finite root coords, delta coefficient)
-    simple_coroots: tuple     # pairs (finite coroot coords, imaginary part)
-    system: CoxeterSystem
-    lambda_prime: tuple
-    minimal_mover: CoxeterElement
-    values: tuple             # sign * (<beta, lambda'> + m*k) for the simple roots
-    singular: frozenset
-    delta_zeta: int           # imaginary part of the minimal imaginary coroot
+    __slots__ = (
+        "datum",
+        "x",                # the AffineCoweight
+        "level_class",
+        "period",
+        "integral_roots",
+        "labels",
+        "simple_roots",     # pairs (finite root coords, delta coefficient)
+        "simple_coroots",   # pairs (finite coroot coords, imaginary part)
+        "system",
+        "lambda_prime",
+        "minimal_mover",
+        "values",           # sign * (<beta, lambda'> + m*k) for the simple roots
+        "singular",
+        "delta_zeta",       # imaginary part of the minimal imaginary coroot
+    )
 
     @property
     def level(self) -> Fraction:

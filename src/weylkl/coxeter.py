@@ -38,12 +38,11 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 
 from .linalg import kernel_basis
-from .rootdata import RootDatum, _simple_reflect_root, build_root_datum, pairing
+from .rootdata import RootDatum, _Record, _simple_reflect_root, build_root_datum, pairing
 
 __all__ = [
     "CoxeterSystem",
@@ -323,12 +322,14 @@ def _classify(gcm, comp):
     return ("finite" if c else "affine"), dict(zip(comp, u))
 
 
-@dataclass(frozen=True)
-class CoxeterElement:
+class CoxeterElement(_Record):
     """Group element stored as its canonical (lex-least) reduced word."""
 
-    system: CoxeterSystem
-    word: tuple
+    __slots__ = ("system", "word")
+
+    def __init__(self, system: CoxeterSystem, word: tuple):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "word", word)
 
     @property
     def length(self):

@@ -35,7 +35,6 @@ affine strata (:mod:`weylkl.affine`) straighten and walk the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -45,6 +44,7 @@ from .coxeter import CoxeterElement, CoxeterSystem, parabolic_quotient
 from .rootdata import (
     RationalCoweight,
     RootDatum,
+    _Record,
     reflect_coweight_by_root,
 )
 
@@ -64,8 +64,19 @@ __all__ = [
 
 def integral_positive_roots(datum: RootDatum, lam: RationalCoweight):
     """Indices (into datum.positive_roots) of roots pairing integrally with lam."""
-    mu, n = lam.mu, lam.n
-    return tuple(k for k, row in enumerate(datum.pairing_rows) if not sum(map(mul, row, mu)) % n)
+    return _integral(_pairings(datum, lam.mu), lam.n)
+
+
+def _pairings(datum: RootDatum, point):
+    """The integers ``<beta, point>`` of the positive roots beta, in order,
+    for an integer vector ``point`` in coroot coordinates."""
+    return [sum(map(mul, row, point)) for row in datum.pairing_rows]
+
+
+def _integral(pairings, n):
+    """Indices of the positive roots whose pairing numerator over ``n``
+    is an integer."""
+    return tuple(k for k, value in enumerate(pairings) if not value % n)
 
 
 def _integer_data(datum: RootDatum, roots):
@@ -141,20 +152,37 @@ def endoscopic_system(datum: RootDatum, simple_indices) -> CoxeterSystem:
     return _endoscopic_system(datum, tuple(simple_indices))
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(_Record):
     """Everything the stratification of a rational coweight determines."""
 
-    datum: RootDatum
-    lam: RationalCoweight
-    integral_indices: tuple  # all integral positive roots (indices)
-    simple_indices: tuple  # the indecomposable ones (indices)
-    system: CoxeterSystem  # intrinsic Coxeter system on those
-    lambda_prime: tuple  # dominant representative, coroot coordinates
-    minimal_mover: CoxeterElement  # y with lam = y(lambda_prime), minimal
-    values: tuple  # <beta, lambda_prime> for the simple roots, integers
-    singular: frozenset  # generator labels fixing lambda_prime
-    index_set: tuple  # minimal coset representatives mod the singular part
+    __slots__ = (
+        "datum",
+        "lam",  # the RationalCoweight
+        "integral_indices",  # all integral positive roots (indices)
+        "simple_indices",  # the indecomposable ones (indices)
+        "system",  # intrinsic Coxeter system on those
+        "lambda_prime",  # dominant representative, coroot coordinates
+        "minimal_mover",  # y with lam = y(lambda_prime), minimal
+        "values",  # <beta, lambda_prime> for the simple roots, integers
+        "singular",  # generator labels fixing lambda_prime (a frozenset)
+        "index_set",  # minimal coset representatives mod the singular part
+    )
+
+    def __init__(self, datum: RootDatum, lam: RationalCoweight, integral_indices: tuple,
+                 simple_indices: tuple, system: CoxeterSystem, lambda_prime: tuple,
+                 minimal_mover: CoxeterElement, values: tuple, singular: frozenset,
+                 index_set: tuple):
+        put = object.__setattr__
+        put(self, "datum", datum)
+        put(self, "lam", lam)
+        put(self, "integral_indices", integral_indices)
+        put(self, "simple_indices", simple_indices)
+        put(self, "system", system)
+        put(self, "lambda_prime", lambda_prime)
+        put(self, "minimal_mover", minimal_mover)
+        put(self, "values", values)
+        put(self, "singular", singular)
+        put(self, "index_set", index_set)
 
     @property
     def J(self):
@@ -234,7 +262,8 @@ def _inversions(values, k, d):
     return total
 
 
-def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None):
+def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None,
+               pairings=None):
     """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
 
     ``roots`` are finite roots beta, with values ``<beta, vec>``, or, at a
@@ -250,6 +279,9 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, lev
     ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``: ``mover``
     is the minimal element taking ``lambda_prime`` back to ``vec``, and
     ``values`` are the integer values there; only ``lambda_prime`` is made of Fractions.
+    A caller that holds :func:`_pairings` of ``vec``'s numerators (a
+    :class:`~weylkl.rootdata.RationalCoweight` ``mu/n``, with no ``level``)
+    passes them as ``pairings``, and the length is counted from them.
     """
     shifts, gens, sign = [0] * len(roots), None, 1
     if level is not None:
@@ -259,8 +291,9 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, lev
             gens = [i for i, (_beta, m) in enumerate(roots) if not m]
         roots = [beta for beta, _m in roots]
     rows, d, point, shifts = _integer_point(datum, roots, vec, shifts + [level or 0])
-    length = _inversions([sum(map(mul, row, point)) for row in datum.pairing_rows],
-                         shifts.pop(), d)
+    if pairings is None:
+        pairings = _pairings(datum, point)
+    length = _inversions(pairings, shifts.pop(), d)
     if length > coxeter._ENUM_LIMIT:
         raise ValueError(f"straightening takes {length} reflections, more than "
                          f"the enumeration limit {coxeter._ENUM_LIMIT}")
@@ -280,13 +313,15 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     """Full stratification data for a rational coweight."""
     if len(lam.mu) != datum.rank:
         raise ValueError("coweight length does not match the rank")
-    integral = integral_positive_roots(datum, lam)
+    pairings = _pairings(datum, lam.mu)
+    integral = _integral(pairings, lam.n)
     simple = indecomposable_indices(datum, integral)
     system = _endoscopic_system(datum, simple)
     roots = [datum.positive_roots[k] for k in simple]
     coroots = [datum.positive_coroots[k] for k in simple]
 
-    lambda_prime, mover, values = straighten(datum, system, roots, coroots, lam)
+    lambda_prime, mover, values = straighten(datum, system, roots, coroots, lam,
+                                             pairings=pairings)
     singular = frozenset(i + 1 for i, value in enumerate(values) if not value)
     index_set = parabolic_quotient(system, singular)
     return Stratification(

@@ -24,13 +24,12 @@ vector to the sum of its translates under the cyclic group generated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
 
-from .rootdata import RootDatum, build_root_datum
+from .rootdata import RootDatum, _Record, build_root_datum
 
 __all__ = [
     "FoldingDatum",
@@ -126,8 +125,7 @@ def _match_type(cartan):
 # folding datum
 
 
-@dataclass(frozen=True)
-class FoldingDatum:
+class FoldingDatum(_Record):
     """A simply-laced root datum with a diagram automorphism and its folding.
 
     ``orbits`` are the sigma-orbits of node labels, ordered by least element;
@@ -139,18 +137,9 @@ class FoldingDatum:
     all four are ``None`` in the flagged non-reduced case.
     """
 
-    source: RootDatum
-    sigma: tuple
-    d: int
-    orbits: tuple
-    d_i: tuple
-    twisted_nonreduced: bool
-    invariant_cartan: tuple
-    dual_cartan: tuple
-    folded: RootDatum
-    folded_nodes: tuple
-    dual_folded: RootDatum
-    dual_nodes: tuple
+    __slots__ = ("source", "sigma", "d", "orbits", "d_i", "twisted_nonreduced",
+                 "invariant_cartan", "dual_cartan", "folded", "folded_nodes",
+                 "dual_folded", "dual_nodes")
 
     @property
     def orbit_index(self) -> tuple:

@@ -397,8 +397,11 @@ class KLFileCache:
             return
         # a temp file of our own beside the target, so concurrent writers
         # never share one; os.replace then swaps it in atomically
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)),
-                                   suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(self.path)),
+                                       suffix=".tmp")
+        except OSError as exc:
+            raise ValueError(f"cannot write the KL cache {self.path}: {exc.strerror}") from exc
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(_CACHE_MAGIC + "\n")

@@ -21,10 +21,10 @@ coweight ``lam`` (coroot coordinates ``c``) is ``c . (cartan @ b)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from operator import attrgetter
 
 __all__ = [
     "RootDatum",
@@ -36,9 +36,6 @@ __all__ = [
     "dominance_compare",
     "coroot_height",
 ]
-
-Vector = Tuple[Fraction, ...]
-IntVector = Tuple[int, ...]
 
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -85,18 +82,62 @@ def _cartan_matrix(cartan_type: str, rank: int) -> tuple:
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class _Record:
+    """The values its ``__slots__`` name, as a frozen dataclass holds them:
+    equal and hashed by value, refusing assignment and deletion with
+    ``AttributeError``.  It compiles no code at import, and ``dataclasses``
+    (which imports ``inspect``) stays unloaded.  Values are passed by
+    keyword; a record built in a hot loop defines its own ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, **values):
+        if values.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the values {', '.join(self.__slots__)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({values})"
+
+
+class RootDatum(_Record):
     """Root datum of a simple type, with paired (root, coroot) lists."""
 
-    cartan_type: str
-    rank: int
-    cartan_matrix: tuple  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-    positive_roots: tuple  # root coordinates; positive_roots[k] <-> positive_coroots[k]
-    positive_coroots: tuple  # coroot coordinates
-    rho: Vector  # half-sum of the positive coroots, coroot coordinates
-    pairing_rows: tuple  # <positive_roots[k], mu> = pairing_rows[k] . mu, in integers
-    root_index: dict  # positive root -> its index k
+    __slots__ = (
+        "cartan_type",
+        "rank",
+        "cartan_matrix",  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
+        "positive_roots",  # root coordinates; positive_roots[k] <-> positive_coroots[k]
+        "positive_coroots",  # coroot coordinates
+        "rho",  # half-sum of the positive coroots, coroot coordinates (Fractions)
+        "pairing_rows",  # <positive_roots[k], mu> = pairing_rows[k] . mu, in integers
+        "root_index",  # positive root -> its index k
+    )
 
     @property
     def simple_roots(self) -> tuple:
@@ -111,11 +152,11 @@ class RootDatum:
         return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @property
-    def highest_root(self) -> IntVector:
+    def highest_root(self) -> tuple[int, ...]:
         return self.positive_roots[-1]
 
     @property
-    def highest_root_coroot(self) -> IntVector:
+    def highest_root_coroot(self) -> tuple[int, ...]:
         """Coroot paired with the highest root (coroot coordinates)."""
         return self.positive_coroots[-1]
 
@@ -150,22 +191,22 @@ class RootDatum:
         return f"RootDatum({self.cartan_type}{self.rank})"
 
 
-@dataclass(frozen=True)
-class RationalCoweight:
+class RationalCoweight(_Record):
     """A coweight mu/n with mu integral (coroot coordinates) and n >= 1."""
 
-    mu: IntVector
-    n: int
+    __slots__ = ("mu", "n")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __init__(self, mu, n: int):
+        if not isinstance(n, int) or n < 1:
             raise ValueError("denominator must be a positive integer")
-        if not all(isinstance(c, int) for c in self.mu):
+        mu = tuple(mu)
+        if not all(isinstance(c, int) for c in mu):
             raise ValueError("mu must be a vector of integers")
-        object.__setattr__(self, "mu", tuple(self.mu))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "n", n)
 
     @property
-    def vector(self) -> Vector:
+    def vector(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.n) for c in self.mu)
 
     def __repr__(self) -> str:
@@ -219,8 +260,9 @@ def build_root_datum(cartan_type: str, rank: int) -> RootDatum:
     rho = tuple(Fraction(sum(c[j] for c in coroots), 2) for j in range(rank))
     rows = tuple(tuple(sum(cartan[j][i] * beta[i] for i in range(rank)) for j in range(rank))
                  for beta in roots)
-    datum = RootDatum(cartan_type, rank, cartan, roots, coroots, rho, rows,
-                      {beta: k for k, beta in enumerate(roots)})
+    datum = RootDatum(cartan_type=cartan_type, rank=rank, cartan_matrix=cartan,
+                      positive_roots=roots, positive_coroots=coroots, rho=rho,
+                      pairing_rows=rows, root_index={beta: k for k, beta in enumerate(roots)})
     for i in range(rank):
         if pairing(datum, roots[i], rho) != 1:
             raise AssertionError("rho must pair to 1 with each simple")

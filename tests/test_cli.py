@@ -395,6 +395,20 @@ def test_corrupt_cache_file_exits_one(tmp_path, monkeypatch, capsys):
     assert f"{store}:2:" in err
 
 
+def test_cache_in_a_missing_directory_exits_one(tmp_path):
+    """A ``$WEYLKL_CACHE`` whose directory does not exist is a domain
+    error, one line on stderr, not a traceback."""
+    store = tmp_path / "no-such-dir" / "cache.txt"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               WEYLKL_CACHE=str(store))
+    proc = subprocess.run([sys.executable, "-m", "weylkl.cli", "kl", "--type", "A",
+                           "--rank", "3", "--y", "e", "--w", "2,1,3,2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot write the KL cache {store}: No such file or directory\n"
+    assert not store.parent.exists()
+
+
 def test_multiplicity_does_not_read_the_cache_file(tmp_path, monkeypatch, capsys):
     store = tmp_path / "cache.txt"
     store.write_text("not a cache file\n")

@@ -353,15 +353,15 @@ def test_degree_of_the_wrong_length_is_refused():
 
 
 _NON_DOMINANT = """
-import dataclasses
 import sys
-from weylkl.endoscopy import stratify
+from weylkl.endoscopy import Stratification, stratify
 from weylkl.multiplicity import index_highest_weights
 from weylkl.rootdata import RationalCoweight, build_root_datum
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
 strat = stratify(build_root_datum("A", 2), RationalCoweight((2, 2), 1))
-index_highest_weights(dataclasses.replace(strat, values=(-2, -2)))
+values = {name: getattr(strat, name) for name in Stratification.__slots__}
+index_highest_weights(Stratification(**dict(values, values=(-2, -2))))
 """
 
 

@@ -1,7 +1,9 @@
 """The package loads its names on first use, a command of the CLI loads
-only the modules it runs, and every name the benchmark imports exists."""
+only the modules it runs and never ``dataclasses``, and every name the
+benchmark imports exists."""
 
 import ast
+import functools
 import importlib
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import weylkl
+from test_cli import _readme_commands
 
 SRC = Path(weylkl.__file__).parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -19,16 +22,31 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBCOMMAND_MODULES = {"weylkl.endoscopy", "weylkl.multiplicity", "weylkl.affine",
                       "weylkl.folding", "weylkl.oracle"}
 
+# dataclasses and what it imports: 5-7 ms of every command's start-up, and
+# each frozen dataclass compiles its methods at import
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
-def loaded_after(code):
-    """The ``weylkl`` modules in ``sys.modules`` after a fresh interpreter
-    runs ``code``."""
-    probe = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('weylkl')))"
-    proc = subprocess.run([sys.executable, "-c", "import sys\n" + probe],
-                          env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=60)
+
+def _modules_after(code):
+    """``sys.modules`` after a fresh interpreter runs ``code``, with no
+    ``$WEYLKL_CACHE``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("WEYLKL_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\nprint(*sorted(sys.modules))"],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def _bare():
+    return _modules_after("pass")
+
+
+def loaded_after(code):
+    """The modules in ``sys.modules`` after a fresh interpreter runs
+    ``code`` that a bare one (``python -c pass``) does not have."""
+    return _modules_after(code) - _bare()
 
 
 def test_import_weylkl_loads_no_submodule():
@@ -51,6 +69,18 @@ def test_multiplicity_command_loads_what_it_runs():
     loaded = loaded_after(f"from weylkl.cli import main\nmain({argv!r})")
     assert {"weylkl.endoscopy", "weylkl.multiplicity"} <= loaded
     assert not loaded & {"weylkl.affine", "weylkl.folding", "weylkl.oracle"}
+
+
+def test_cli_imports_no_heavy_module():
+    assert loaded_after("import weylkl.cli") & HEAVY_MODULES == set()
+
+
+def test_readme_commands_import_no_heavy_module():
+    """Every README command, run in one interpreter, leaves out
+    ``dataclasses`` and the modules it would bring."""
+    commands = _readme_commands()
+    code = f"from weylkl.cli import main\nfor argv in {commands!r}:\n    assert main(argv) == 0, argv"
+    assert loaded_after(code) & HEAVY_MODULES == set()
 
 
 def test_every_exported_name_resolves_and_is_listed():
