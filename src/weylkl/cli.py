@@ -59,7 +59,10 @@ def _parse_word(system: CoxeterSystem, text):
     if text == "e":
         return system.identity
     labels = _parse_int_vector(text, "a reduced word")
-    return system.element(labels)
+    element = system.element(labels)
+    if element.length < len(labels):
+        raise ValueError(f"{text!r} is not a reduced word; it spells {_word_text(element)}")
+    return element
 
 
 def _parse_alpha(text, rank_):

@@ -38,6 +38,7 @@ True
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from operator import sub
 
@@ -415,11 +416,15 @@ def parabolic_quotient(system: CoxeterSystem, J, length_bound=None):
 
     ``J`` is a collection of generator labels.  For infinite systems a
     ``length_bound`` is required and the representatives of length at most
-    the bound are returned.  The k-th is id k of the table of W^J.
+    the bound are returned.  The table of W^J keeps the tuple, whose k-th
+    is id k, and every call returns it or a prefix of it.
     """
-    words = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))["words"]
-    return tuple(system._element(word) for word in words
-                 if length_bound is None or len(word) <= length_bound)
+    tab = system._ensure_tables(up_to=length_bound, J=tuple(_positions(system, J)))
+    if len(tab.get("elements", ())) < tab["size"]:  # a new table, or a ball that grew
+        tab["elements"] = tuple(map(system._element, tab["words"]))
+    if length_bound is None:
+        return tab["elements"]
+    return tab["elements"][:bisect_right(tab["length"], length_bound)]
 
 
 def _positions(system, labels):

@@ -141,15 +141,16 @@ def indecomposable_indices(datum: RootDatum, indices):
     return tuple(k for k in indices if roots[k] in kept)
 
 
-@lru_cache(maxsize=None)  # pays for itself: 2,000 pool blocks share 517 subsystems
-def _endoscopic_system(datum: RootDatum, simple_indices):
-    gcm, _ = subsystem_cartan(datum, [datum.positive_roots[k] for k in simple_indices])
-    return CoxeterSystem(gcm, labels=range(1, len(simple_indices) + 1))
+@lru_cache(maxsize=None)  # pays for itself: 2,000 pool blocks share 55 Cartan matrices
+def _endoscopic_system(gcm):
+    return CoxeterSystem(gcm, labels=range(1, len(gcm) + 1))
 
 
 def endoscopic_system(datum: RootDatum, simple_indices) -> CoxeterSystem:
-    """Coxeter system of the reflection subgroup on the given simple roots."""
-    return _endoscopic_system(datum, tuple(simple_indices))
+    """Coxeter system of the reflection subgroup on the given simple roots:
+    one per Cartan matrix, whose tables every block with that matrix shares."""
+    gcm, _ = subsystem_cartan(datum, [datum.positive_roots[k] for k in simple_indices])
+    return _endoscopic_system(gcm)
 
 
 class Stratification(_Record):
@@ -216,8 +217,8 @@ def coweight_orbit_action(strat: Stratification, w: CoxeterElement, vec):
 
 def _integer_point(datum: RootDatum, roots, vec, shifts):
     """The integer rows of ``roots`` (:func:`_integer_data`), one common
-    denominator ``d`` of ``vec`` and ``shifts``, and their numerators over
-    ``d``: reflections then act on numerators alone.  A
+    denominator ``d`` of ``vec`` and ``shifts`` (ints or Fractions), and
+    their numerators over ``d``: reflections then act on numerators alone.  A
     :class:`~weylkl.rootdata.RationalCoweight` ``mu/n`` gives its ``mu``
     over ``n`` as it stands."""
     rows = [row for row, _ in _integer_data(datum, roots)]
@@ -227,7 +228,6 @@ def _integer_point(datum: RootDatum, roots, vec, shifts):
         vec = [Fraction(x) for x in vec]
         d = math.lcm(*(x.denominator for x in vec))
         point = tuple(x.numerator * (d // x.denominator) for x in vec)
-    shifts = [Fraction(s) for s in shifts]
     e = math.lcm(d, *(s.denominator for s in shifts))
     return (rows, e, tuple(c * (e // d) for c in point),
             [s.numerator * (e // s.denominator) for s in shifts])
@@ -316,7 +316,7 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     pairings = _pairings(datum, lam.mu)
     integral = _integral(pairings, lam.n)
     simple = indecomposable_indices(datum, integral)
-    system = _endoscopic_system(datum, simple)
+    system = endoscopic_system(datum, simple)
     roots = [datum.positive_roots[k] for k in simple]
     coroots = [datum.positive_coroots[k] for k in simple]
 

@@ -355,25 +355,30 @@ class KLFileCache:
             self._load(path)
 
     def _load(self, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline().rstrip("\n")
-            if first != _CACHE_MAGIC:
-                raise ValueError(f"not a KL cache file: {path}")
-            for lineno, line in enumerate(handle, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    tag, ytext, wtext, ctext = (part.strip() for part in line.split("|"))
-                    key = (tag, _parse_word(ytext), _parse_word(wtext))
-                    coeffs = tuple(int(c) for c in ctext.split(","))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed cache line") from exc
-                gap = len(key[2]) - len(key[1])
-                if coeffs[0] != 1 or min(coeffs) < 0 or 2 * (len(coeffs) - 1) > gap - 1:
-                    raise ValueError(f"{path}:{lineno}: not a KL polynomial of "
-                                     f"a pair with length gap {gap}")
-                self.entries[key] = coeffs
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = handle.read().split("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot read the KL cache {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read the KL cache {path}: not UTF-8 text") from exc
+        if lines[0] != _CACHE_MAGIC:
+            raise ValueError(f"not a KL cache file: {path}")
+        for lineno, line in enumerate(lines[1:], start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                tag, ytext, wtext, ctext = (part.strip() for part in line.split("|"))
+                key = (tag, _parse_word(ytext), _parse_word(wtext))
+                coeffs = tuple(int(c) for c in ctext.split(","))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed cache line") from exc
+            gap = len(key[2]) - len(key[1])
+            if coeffs[0] != 1 or min(coeffs) < 0 or 2 * (len(coeffs) - 1) > gap - 1:
+                raise ValueError(f"{path}:{lineno}: not a KL polynomial of "
+                                 f"a pair with length gap {gap}")
+            self.entries[key] = coeffs
 
     @staticmethod
     def _key(system, y, w):

@@ -32,6 +32,27 @@ def test_kl_single_pair(capsys):
     assert out.strip() == "1 + q"
 
 
+@pytest.mark.parametrize("word, canonical", [("1,1", "e"), ("1,2,1,2", "2,1"),
+                                             ("2,1,2,1", "1,2")])
+def test_kl_refuses_a_word_that_is_not_reduced(capsys, word, canonical):
+    """A word that spells a shorter element is refused, not answered for
+    that element."""
+    for flag in ("--y", "--w"):
+        other = "--w" if flag == "--y" else "--y"
+        code, out, err = run(capsys, "kl", "--type", "A", "--rank", "2",
+                             flag, word, other, "1,2,1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {word!r} is not a reduced word; it spells {canonical}\n"
+    assert run(capsys, "kl", "--type", "A", "--rank", "2", "--y", "e", "--w", "1")[:2] == (0, "1\n")
+
+
+def test_character_refuses_a_word_that_is_not_reduced(capsys):
+    code, out, err = run(capsys, "character", "--type", "A", "--rank", "2",
+                         "--lambda", "2,2/1", "--w", "1,1", "--alpha", "1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: '1,1' is not a reduced word; it spells e\n"
+
+
 def test_kl_table_text(capsys):
     code, out, _ = run(capsys, "kl", "--type", "A", "--rank", "2", "--table")
     assert code == 0
@@ -407,6 +428,27 @@ def test_cache_in_a_missing_directory_exits_one(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: cannot write the KL cache {store}: No such file or directory\n"
     assert not store.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_unreadable_cache_exits_one(tmp_path, kind):
+    """A ``$WEYLKL_CACHE`` that cannot be read as text, a directory or a
+    file that is not UTF-8, is a domain error naming the path, one line on
+    stderr, not a traceback."""
+    store = tmp_path / "cache.txt"
+    if kind == "directory":
+        store.mkdir()
+        reason = "Is a directory"
+    else:
+        store.write_bytes(b"KLCACHE v1\nA 2 | - | 1 | \xff\n")
+        reason = "not UTF-8 text"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               WEYLKL_CACHE=str(store))
+    proc = subprocess.run([sys.executable, "-m", "weylkl.cli", "kl", "--type", "A",
+                           "--rank", "2", "--y", "e", "--w", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot read the KL cache {store}: {reason}\n"
 
 
 def test_multiplicity_does_not_read_the_cache_file(tmp_path, monkeypatch, capsys):

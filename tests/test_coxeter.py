@@ -559,6 +559,21 @@ def test_parabolic_quotient_affine_needs_bound():
         (), (0,), (1, 0), (0, 1, 0), (1, 0, 1, 0)]
 
 
+def test_parabolic_quotient_is_the_table_tuple():
+    """A finite quotient is one shared tuple; a ball's representatives are
+    a prefix of it, right as the ball grows and shrinks again."""
+    system = weyl_system(B2)
+    assert parabolic_quotient(system, {1}) is parabolic_quotient(system, [1])
+    assert parabolic_quotient(system, ()) is parabolic_quotient(system, (), length_bound=4)
+    gcm = affinization(A2).gcm
+    system = CoxeterSystem(gcm)
+    for bound in (3, 1, 5, 0, 4):
+        reps = parabolic_quotient(system, {1}, length_bound=bound)
+        fresh = parabolic_quotient(CoxeterSystem(gcm), {1}, length_bound=bound)
+        assert [w.word for w in reps] == [w.word for w in fresh]
+        assert max(w.length for w in reps) == bound
+
+
 def test_double_coset_minimum():
     system = weyl_system(A3)
     w0 = longest_element(system)

@@ -13,7 +13,11 @@ import pytest
 
 import weylkl
 from weylkl.linalg import rref
-from weylkl.multiplicity import index_highest_weights
+from weylkl.multiplicity import (
+    index_highest_weights,
+    inverse_multiplicity_matrix,
+    multiplicity_matrix,
+)
 from weylkl.rootdata import (
     RationalCoweight,
     build_root_datum,
@@ -21,8 +25,10 @@ from weylkl.rootdata import (
     pairing,
     reflect_coweight_by_root,
 )
-from weylkl.coxeter import CoxeterSystem
+from weylkl.coxeter import CoxeterSystem, parabolic_quotient
 from weylkl.endoscopy import (
+    Stratification,
+    _endoscopic_system,
     coweight_orbit_action,
     endoscopic_system,
     indecomposable_indices,
@@ -114,10 +120,65 @@ def test_indecomposables_are_a_simple_system(letter, rank):
 
 
 def test_endoscopic_system_interned():
+    """The integral Coxeter system depends on its Cartan matrix alone: A1
+    blocks from A2 (a simple root and the highest root), B2 and G2, and A2
+    blocks from A2 and B3, share one system and one index set object."""
     lam = RationalCoweight((1, 1), 2)
     one = stratify(A2, lam).system
     two = stratify(A2, lam).system
     assert one is two
+    for blocks in ([(A2, (0, 1), 2), (A2, (1, 1), 2), (B2, (1, 2), 3), (G2, (2, 1), 3)],
+                   [(A2, (1, 1), 1), (build_root_datum("B", 3), (2, 1, 3), 3)]):
+        strats = [stratify(datum, RationalCoweight(mu, n)) for datum, mu, n in blocks]
+        first = strats[0]
+        assert len({(strat.datum, strat.simple_roots) for strat in strats}) == len(strats)
+        for strat in strats:
+            assert not strat.singular
+            assert strat.system is first.system
+            assert strat.index_set is first.index_set
+            assert strat.system is endoscopic_system(strat.datum, strat.simple_indices)
+
+
+def _seeded_blocks(seed, count=300):
+    pool = json.loads(SMALL_POOL.read_text(encoding="utf-8"))
+    rng = random.Random(seed)
+    return [(build_root_datum(entry["type"], entry["rank"]),
+             RationalCoweight(tuple(entry["mu"]), entry["n"]))
+            for entry in rng.sample(pool, count)]
+
+
+def test_the_system_cache_holds_one_system_per_cartan_matrix():
+    _endoscopic_system.cache_clear()
+    strats = [stratify(datum, lam) for datum, lam in _seeded_blocks("one per matrix")]
+    gcms = {strat.system.gcm for strat in strats}
+    assert _endoscopic_system.cache_info().currsize == len(gcms) < len(
+        {(strat.datum, strat.simple_indices) for strat in strats})
+
+
+def test_shared_tables_carry_no_state_between_blocks():
+    """Blocks filled from cleared caches in two seeded orders give the same
+    matrices as each other, and as a fill on a fresh system of their
+    Cartan matrix."""
+    blocks = _seeded_blocks("shared tables")
+    results = []
+    for seed in ("first order", "second order"):
+        _endoscopic_system.cache_clear()
+        order = list(range(len(blocks)))
+        random.Random(seed).shuffle(order)
+        result = {}
+        for k in order:
+            strat = stratify(*blocks[k])
+            result[k] = (multiplicity_matrix(strat), inverse_multiplicity_matrix(strat))
+        results.append(result)
+    assert results[0] == results[1]
+    for k, (datum, lam) in enumerate(blocks):
+        strat = stratify(datum, lam)
+        fresh = CoxeterSystem(strat.system.gcm)
+        alone = Stratification(**{name: getattr(strat, name)
+                                  for name in Stratification.__slots__}
+                               | {"system": fresh,
+                                  "index_set": parabolic_quotient(fresh, strat.singular)})
+        assert (multiplicity_matrix(alone), inverse_multiplicity_matrix(alone)) == results[0][k]
 
 
 def test_stratify_regular_integral():
