@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -315,8 +316,12 @@ def _cmd_character(args) -> str:
     if args.lam is None:
         if args.depth is None:
             raise ValueError("character needs --lambda or --depth")
-        series = graded_partition_series(datum.positive_coroots,
-                                         _nonnegative(args.depth, "--depth"))
+        depth = _nonnegative(args.depth, "--depth")
+        degrees = math.comb(depth + datum.rank, datum.rank)  # vectors of height <= depth
+        if degrees > _ENUM_LIMIT:
+            raise ValueError(f"the series up to height {depth} has {degrees} degrees, "
+                             f"more than the enumeration limit of {_ENUM_LIMIT}")
+        series = graded_partition_series(datum.positive_coroots, depth)
         items = sorted(series.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         payload = {"series": [
             {"degree": _vec(expo), "coefficients": list(coeffs),

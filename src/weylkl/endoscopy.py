@@ -316,9 +316,9 @@ def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
     pairings = _pairings(datum, lam.mu)
     integral = _integral(pairings, lam.n)
     simple = indecomposable_indices(datum, integral)
-    system = endoscopic_system(datum, simple)
     roots = [datum.positive_roots[k] for k in simple]
-    coroots = [datum.positive_coroots[k] for k in simple]
+    gcm, coroots = subsystem_cartan(datum, roots)
+    system = _endoscopic_system(gcm)
 
     lambda_prime, mover, values = straighten(datum, system, roots, coroots, lam,
                                              pairings=pairings)

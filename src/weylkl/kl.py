@@ -11,7 +11,9 @@ and only extremal pairs are computed: P_{y,w} = P_{ty,w} for every left
 descent t of w with ty > y (Kazhdan-Lusztig, Invent. Math. 53, 1979,
 2.3.g), as in du Cloux's Coxeter3.  J = () gives W (or an affine ball,
 extended as it grows) for :func:`kl_polynomial`, which fills only the
-lower Bruhat ideal of w, and :func:`kl_table`.  Otherwise a stuck letter s
+lower Bruhat ideal of w, and :func:`kl_table`; there the column of w^-1,
+once w's is filled, is w's relabelled by y -> y^-1 (P_{y,w} =
+P_{y^-1,w^-1}, KL 1979), not computed.  Otherwise a stuck letter s
 of x (s*x = x*s_j, s_j in W_J) reads as a descent with P_{sx,v} = P_{x,v},
 giving Deodhar's parabolic polynomials for u = -1 (J. Algebra 111, 1987),
 P^J_{x,y} = P_{x w_J, y w_J}, which the multiplicity matrices read.
@@ -113,6 +115,13 @@ def _fill(system: CoxeterSystem, J, wids):
     read in the same pass: a copied pair has degree at most
     (l(w) - l(y) - 2) / 2, one below the mu coefficient, unless ty = w,
     where P = 1 and mu = 1.
+
+    On the table of W (J = (), not closed under inversion otherwise) a
+    column w whose inverse u is already filled is read off u's:
+    P_{y,w} = P_{y^-1,u}, and w's mu-list is u's relabelled, in the
+    relabelled column's key order.  Such a column is not in descending
+    order; ``inv`` (g -> id of g^-1) is kept in the table and extended as a
+    ball grows.
     """
     tab = system._tabs[J]
     length, lmult, fld, desc = tab["length"], tab["lmult"], tab["fld"], tab["desc"]
@@ -122,8 +131,21 @@ def _fill(system: CoxeterSystem, J, wids):
     low = tab.get("low")
     if low is None:  # low[a]: the lowest bit of the mask a
         low = tab["low"] = [(a & -a).bit_length() - 1 for a in range(1 << system.rank)]
+    inv = None
+    if not J:  # inv[g]: the id of g^-1, g's word read left to right
+        inv = tab.setdefault("inv", [])
+        for word in tab["words"][len(inv):]:
+            g = 0
+            for s in word:
+                g = lmult[g][s]
+            inv.append(g)
     for w in sorted(wids):
         if w in kl:
+            continue
+        if inv is not None and inv[w] in kl:  # P_{y,w} = P_{y^-1,w^-1}
+            u = inv[w]
+            kl[w] = {inv[y]: poly for y, poly in kl[u].items()}
+            mulists[w] = [(inv[z], mu) for z, mu in mulists[u]]
             continue
         col = {w: _ONE}
         if w == 0:
@@ -232,8 +254,10 @@ def kl_table(system: CoxeterSystem, max_length=None):
     which has no stuck letters, up to length ``max_length`` (required for
     infinite systems).  The result is a read-only mapping that shares the
     system's columns instead of copying them; ``dict(table)`` gives a
-    copy.  Keys come in :func:`_table_order` when the labels increase with
-    the positions, as for every named system.
+    copy.  A column read off its inverse's is stored unordered, and the
+    mapping orders each column when it is read.  Keys come in
+    :func:`_table_order` when the labels increase with the positions, as
+    for every named system.
     """
     if max_length is None and not system.is_finite:
         raise ValueError("system is infinite; max_length is required")
@@ -246,7 +270,9 @@ def kl_table(system: CoxeterSystem, max_length=None):
 class _TableView(Mapping):
     """The filled columns 0 .. count - 1 of the table of W, read as a
     mapping (y label word, w label word) -> P_{y,w}, in id order: w
-    ascending, then y ascending (a column is filled from the top down)."""
+    ascending, then y ascending.  Each column is sorted when read: a
+    computed one is filled from the top down, which ``sorted`` reverses in
+    one pass, and one read off its inverse's is unordered."""
 
     def __init__(self, system, count):
         tab = system._tabs[()]
@@ -284,9 +310,9 @@ class _TableView(Mapping):
         labels, words = self._labels, self._words
         labelled = [tuple(labels[p] for p in words[g]) for g in range(self._count)]
         for w in range(self._count):
-            lw = labelled[w]
-            for y, poly in reversed(self._kl[w].items()):
-                yield (labelled[y], lw), poly
+            lw, col = labelled[w], self._kl[w]
+            for y in sorted(col):
+                yield (labelled[y], lw), col[y]
 
     def __iter__(self):
         return (key for key, _ in self._items())
@@ -305,9 +331,9 @@ class _TableItems(ItemsView):
 
 class _TableValues(ValuesView):
     def __iter__(self):
-        table = self._mapping
-        return chain.from_iterable(reversed(table._kl[w].values())
-                                   for w in range(table._count))
+        kl = self._mapping._kl
+        return chain.from_iterable(map(kl[w].__getitem__, sorted(kl[w]))
+                                   for w in range(self._mapping._count))
 
 
 def _word_text(word_labels):

@@ -194,6 +194,25 @@ def test_character_refuses_a_weight_cone_past_the_enumeration_limit(capsys):
     assert out.strip() == "simple module dimension: 500000"
 
 
+def test_character_refuses_a_series_past_the_enumeration_limit(capsys):
+    """The series of E6 up to height d has C(d + 6, 6) degrees: 475,020 at
+    d = 23, under the limit, and 593,775 at d = 24.  d = 200 (about 10^11
+    degrees) is refused before any work, in a fresh interpreter, with one
+    error line and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "weylkl.cli", "character", "--type", "E",
+                           "--rank", "6", "--depth", "200"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert time.monotonic() - start < 2.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the series up to height 200 has 98619368491 degrees, "
+                           "more than the enumeration limit of 500000\n")
+    code, out, err = run(capsys, "character", "--type", "E", "--rank", "6", "--depth", "24")
+    assert (code, out) == (1, "")
+    assert "has 593775 degrees" in err
+
+
 def test_affine_refuses_a_straightening_past_the_enumeration_limit(capsys):
     """At level 1 the coweight 10^6 of A1 is 1,999,999 reflections from the
     dominant chamber: the count is refused before the walk.  The coweight

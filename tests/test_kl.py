@@ -264,7 +264,7 @@ def test_cold_e6_point_query_fills_only_the_ideal_of_w():
 
 _CORRUPT_MU = """
 import sys
-from weylkl.coxeter import CoxeterSystem
+from weylkl.coxeter import CoxeterSystem, bruhat_leq
 from weylkl.kl import _fill
 from weylkl.rootdata import build_root_datum
 if not sys.flags.optimize:
@@ -274,13 +274,17 @@ tab = system._ensure_tables()
 _fill(system, (), [g for g in range(tab["size"]) if tab["length"][g] <= 3])
 for entries in tab["mu"].values():
     entries[:] = [(z, mu + 1) for z, mu in entries]
-_fill(system, (), range(tab["size"]))
+w = system.element((2, 3, 2, 1))
+_fill(system, (), [g for g in range(tab["size"])
+                   if bruhat_leq(system._element(tab["words"][g]), w)])
 """
 
 
 def test_corrupt_mu_list_raises_under_optimize():
     """The fill's checks are raises, so a wrong mu-list entry is caught
-    even when asserts are compiled away."""
+    even when asserts are compiled away.  The second fill is the ideal of
+    one element of length 4, which does not hold its inverse: its column
+    is computed from the corrupted mu-lists, not read off its inverse's."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylkl.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_MU], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -15,7 +15,8 @@ point action w(rho) of the engine, W^J from right descents, and the order
 from products of subwords.  The engine's tables are further
 checked against the symmetries P_{y,w} = P_{y^-1,w^-1} =
 P_{w0 y w0, w0 w w0}, the KL inversion formula, and the inverse
-multiplicity matrices of regular blocks.
+multiplicity matrices of regular blocks, and the balls of B2~ and G2~
+against the reference where mu exceeds 1.
 """
 
 import random
@@ -25,7 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylkl.coxeter import CoxeterSystem, longest_element, multiply, weyl_system
+from weylkl.coxeter import (
+    CoxeterSystem,
+    affinization,
+    longest_element,
+    multiply,
+    weyl_system,
+)
 from weylkl.endoscopy import stratify
 from weylkl.kl import kl_polynomial, kl_table
 from weylkl.multiplicity import inverse_multiplicity_matrix, multiplicity_polynomial
@@ -183,6 +190,30 @@ def test_singular_blocks_match_the_parabolic_r_polynomial_definition(
             assert multiplicity_polynomial(strat, x, y) == poly, (x, y)
             nontrivial += len(poly) > 1
     assert nontrivial
+
+
+@pytest.mark.parametrize("letter,max_length,count,largest", [
+    ("B", 10, 22, 3), ("G", 10, 8, 2)])
+def test_affine_balls_with_mu_above_one_match_the_r_polynomial_definition(
+        letter, max_length, count, largest):
+    """The ball of B2~ or G2~ up to ``max_length`` against the reference:
+    each of its ``count`` pairs with mu >= 2 (the largest is ``largest``),
+    and 30 seeded pairs of columns w whose inverse comes first in the
+    table, so that the fill reads them off the inverse's column."""
+    aff = affinization(build_root_datum(letter, 2))
+    ball = CoxeterSystem(aff.gcm, labels=aff.labels)  # labels are positions
+    table = kl_table(ball, max_length=max_length)
+    mus = {}
+    for (yw, ww), poly in table.items():
+        gap = len(ww) - len(yw)
+        if gap % 2 and len(poly) > gap // 2 and poly[gap // 2] >= 2:
+            mus[yw, ww] = poly[gap // 2]
+    assert len(mus) == count and max(mus.values()) == largest
+    later = {ww for _, ww in table if ball.element(ww[::-1]).word_labels < ww}
+    read_off = [key for key in table if key[1] in later]
+    ref = Reference(aff.gcm)
+    for yw, ww in list(mus) + random.Random(f"mu {letter}").sample(read_off, 30):
+        assert table[yw, ww] == ref.P(yw, ww), (yw, ww)
 
 
 # -- identities on full tables -------------------------------------------------
