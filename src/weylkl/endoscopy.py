@@ -18,7 +18,7 @@ This module computes:
 
 The stratification runs in integers, and only its outputs are Fractions.
 Every orbit moves by one rule, ``CoxeterSystem._reflect`` on the values
-``<beta_j, x>`` of the simple roots at a coweight x.  :func:`straighten`
+``<beta_j, x>`` of the simple roots at a coweight x.  The straightening
 lets ``CoxeterSystem._descend`` strip the values of ``mu/n``: the stripped
 word is the minimal mover, ``lam'`` is ``mu/n`` replayed along it, and the
 singular generators are the positions whose value is left at 0.  The
@@ -94,12 +94,36 @@ def _integer_data(datum: RootDatum, roots):
     return out
 
 
+def _positive_data(datum: RootDatum, indices):
+    """:func:`_dyer`'s ``(data, keys)`` of the positive roots ``indices``, by index."""
+    rows, coroots, roots = datum.pairing_rows, datum.positive_coroots, datum.positive_roots
+    return [(rows[k], coroots[k]) for k in indices], [(0, sum(roots[k])) for k in indices]
+
+
 def subsystem_cartan(datum: RootDatum, roots):
     """``(gcm, coroots)`` of finite roots of either sign, in integers, with
     ``gcm[i][j] = <roots[j], roots[i]^vee>``."""
     data = _integer_data(datum, roots)
     gcm = tuple(tuple(sum(map(mul, row, coroot)) for row, _ in data) for _, coroot in data)
     return gcm, tuple(coroot for _, coroot in data)
+
+
+def _dyer(data, keys):
+    """:func:`simple_system`'s criterion on roots given by their integer
+    ``data`` (row, coroot) and ``keys`` ``(m, height)``: ``{g: pairings}``
+    for the simple positions g, ``pairings[a] = <beta_a, beta_g^vee>``."""
+    out = {}
+    for g, (_, coroot) in enumerate(data):
+        m, height = keys[g]
+        pairings = []
+        for a, (row, _) in enumerate(data):
+            c = sum(map(mul, row, coroot))
+            if c > 0 and a != g and (keys[a][0] - c * m, keys[a][1] - c * height) < (0, 0):
+                break
+            pairings.append(c)
+        else:
+            out[g] = pairings
+    return out
 
 
 def simple_system(datum: RootDatum, items):
@@ -111,34 +135,24 @@ def simple_system(datum: RootDatum, items):
     positive root of the subgroup to a negative root.  For alpha = (rho, n)
     and c = <rho, beta^vee> > 0, s_gamma(alpha) = (rho - c*beta) +
     (n - c*m)*delta is negative iff n < c*m, or n = c*m and rho - c*beta
-    has negative height.
+    has negative height.  :func:`_dyer` runs it here and on the finite
+    roots of :func:`indecomposable_indices` and :func:`stratify`.
 
     ``items`` must hold every root of the subgroup whose delta-coefficient
     is at most that of a root tested: a non-simple gamma is refuted by a
     simple root below it (s_gamma has a descent in the support of gamma).
     """
     data = _integer_data(datum, [beta for beta, _m in items])
-    heights = [sum(beta) for beta, _m in items]
-    out = []
-    for g, (_, coroot) in enumerate(data):
-        m, height = items[g][1], heights[g]
-        for a, (row, _) in enumerate(data):
-            c = sum(map(mul, row, coroot))
-            if c > 0 and a != g and (items[a][1] - c * m, heights[a] - c * height) < (0, 0):
-                break
-        else:
-            out.append(items[g])
-    return out
+    return [items[g] for g in _dyer(data, [(m, sum(beta)) for beta, m in items])]
 
 
 def indecomposable_indices(datum: RootDatum, indices):
     """Sub-tuple of the integral positive roots ``indices`` forming their
     simple system: gamma is kept iff s_gamma sends no other root of
-    ``indices`` to a negative root (:func:`simple_system` with ``m = 0``;
-    no window is needed, as every positive root of the subgroup is given)."""
-    roots = datum.positive_roots
-    kept = {beta for beta, _m in simple_system(datum, [(roots[k], 0) for k in indices])}
-    return tuple(k for k in indices if roots[k] in kept)
+    ``indices`` to a negative root (:func:`simple_system`'s criterion with
+    ``m = 0`` on their rows and coroots; no window is needed, as every
+    positive root of the subgroup is given)."""
+    return tuple(indices[g] for g in _dyer(*_positive_data(datum, indices)))
 
 
 @lru_cache(maxsize=None)  # pays for itself: 2,000 pool blocks share 55 Cartan matrices
@@ -262,26 +276,23 @@ def _inversions(values, k, d):
     return total
 
 
-def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None,
-               pairings=None):
+def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None):
     """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
 
     ``roots`` are finite roots beta, with values ``<beta, vec>``, or, at a
     ``level`` k, affine roots ``(beta, m)``, with values
     ``sign * (<beta, vec> + m*k)``; ``sign = -1`` at negative level
     straightens to the antidominant chamber, and at critical level only the
-    roots with ``m = 0`` move.  ``system._descend`` strips the smallest
-    negative value until none is left: the mover is a minimal coset
-    representative, so that is its canonical word, and its length is the
-    number of integral positive roots negative at ``vec`` (:func:`_inversions`,
-    refused past the enumeration limit).  ``vec`` (a coweight vector or a
+    roots with ``m = 0`` move.  :func:`_straighten` lets
+    ``system._descend`` strip the smallest negative value until none is
+    left: the mover is a minimal coset representative, so that is its
+    canonical word, and its length is the number of integral positive roots
+    negative at ``vec`` (:func:`_inversions`, refused past the enumeration
+    limit).  ``vec`` (a coweight vector or a
     :class:`~weylkl.rootdata.RationalCoweight`) replayed along the word is
     ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``: ``mover``
     is the minimal element taking ``lambda_prime`` back to ``vec``, and
     ``values`` are the integer values there; only ``lambda_prime`` is made of Fractions.
-    A caller that holds :func:`_pairings` of ``vec``'s numerators (a
-    :class:`~weylkl.rootdata.RationalCoweight` ``mu/n``, with no ``level``)
-    passes them as ``pairings``, and the length is counted from them.
     """
     shifts, gens, sign = [0] * len(roots), None, 1
     if level is not None:
@@ -291,37 +302,46 @@ def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, lev
             gens = [i for i, (_beta, m) in enumerate(roots) if not m]
         roots = [beta for beta, _m in roots]
     rows, d, point, shifts = _integer_point(datum, roots, vec, shifts + [level or 0])
-    if pairings is None:
-        pairings = _pairings(datum, point)
-    length = _inversions(pairings, shifts.pop(), d)
+    length = _inversions(_pairings(datum, point), shifts.pop(), d)
+    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
+    return _straighten(system, list(zip(rows, coroots)), shifts, point, d, values, length, gens)
+
+
+def _straighten(system: CoxeterSystem, data, shifts, point, d, values, length, gens=None):
+    """The descent and replay of :func:`straighten`, in integers: the roots'
+    (row, coroot) ``data`` and ``shifts``, ``point`` and the ``values``
+    there as numerators over ``d``, and the mover's ``length``."""
     if length > coxeter._ENUM_LIMIT:
         raise ValueError(f"straightening takes {length} reflections, more than "
                          f"the enumeration limit {coxeter._ENUM_LIMIT}")
-    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
     if any(value % d for value in values):
         raise AssertionError("integral pairings must stay integral")
     word, values = system._descend(tuple(value // d for value in values), length, gens)
     if len(word) != length:
         raise AssertionError("the straightening word must have the mover's length")
     for i in word:
-        value = _value(rows[i], shifts[i], point)
-        point = tuple(c - value * cr for c, cr in zip(point, coroots[i]))
-    return tuple(Fraction(c, d) for c in point), CoxeterElement(system, word), values
+        row, coroot = data[i]
+        value = _value(row, shifts[i], point)
+        point = tuple([c - value * cr for c, cr in zip(point, coroot)])
+    return tuple([Fraction(c, d) for c in point]), CoxeterElement(system, word), values
 
 
 def stratify(datum: RootDatum, lam: RationalCoweight) -> Stratification:
-    """Full stratification data for a rational coweight."""
+    """Full stratification data for a rational coweight ``mu/n``: the
+    numerators ``<beta, mu>`` give the integral roots, the mover's length
+    and the simple roots' values, and the integral roots' rows and coroots,
+    read once, give the simple system and its Cartan matrix (:func:`_dyer`)."""
     if len(lam.mu) != datum.rank:
         raise ValueError("coweight length does not match the rank")
     pairings = _pairings(datum, lam.mu)
     integral = _integral(pairings, lam.n)
-    simple = indecomposable_indices(datum, integral)
-    roots = [datum.positive_roots[k] for k in simple]
-    gcm, coroots = subsystem_cartan(datum, roots)
-    system = _endoscopic_system(gcm)
-
-    lambda_prime, mover, values = straighten(datum, system, roots, coroots, lam,
-                                             pairings=pairings)
+    data, keys = _positive_data(datum, integral)
+    kept = _dyer(data, keys)
+    simple = tuple(integral[g] for g in kept)
+    system = _endoscopic_system(tuple(tuple([row[a] for a in kept]) for row in kept.values()))
+    lambda_prime, mover, values = _straighten(
+        system, [data[g] for g in kept], [0] * len(kept), lam.mu, lam.n,
+        [pairings[k] for k in simple], _inversions(pairings, 0, lam.n))
     singular = frozenset(i + 1 for i, value in enumerate(values) if not value)
     index_set = parabolic_quotient(system, singular)
     return Stratification(

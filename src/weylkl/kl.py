@@ -120,8 +120,8 @@ def _fill(system: CoxeterSystem, J, wids):
     column w whose inverse u is already filled is read off u's:
     P_{y,w} = P_{y^-1,u}, and w's mu-list is u's relabelled, in the
     relabelled column's key order.  Such a column is not in descending
-    order; ``inv`` (g -> id of g^-1) is kept in the table and extended as a
-    ball grows.
+    order; ``inv`` (g -> id of g^-1) is kept in the table and built for the
+    ids filled, whose ideals hold every derived column's keys.
     """
     tab = system._tabs[J]
     length, lmult, fld, desc = tab["length"], tab["lmult"], tab["fld"], tab["desc"]
@@ -133,12 +133,14 @@ def _fill(system: CoxeterSystem, J, wids):
         low = tab["low"] = [(a & -a).bit_length() - 1 for a in range(1 << system.rank)]
     inv = None
     if not J:  # inv[g]: the id of g^-1, g's word read left to right
-        inv = tab.setdefault("inv", [])
-        for word in tab["words"][len(inv):]:
-            g = 0
-            for s in word:
-                g = lmult[g][s]
-            inv.append(g)
+        inv, words = tab.setdefault("inv", []), tab["words"]
+        inv += [None] * (len(words) - len(inv))
+        for g in wids:
+            if inv[g] is None:
+                h = 0
+                for s in words[g]:
+                    h = lmult[h][s]
+                inv[g] = h
     for w in sorted(wids):
         if w in kl:
             continue

@@ -98,25 +98,48 @@ def _coefficients(simples, root):
     return [rows[i][-1] for i in range(len(pivots))]
 
 
+# past rank 4, seeded coweights stand in for every mu mod n
+LARGE_TYPES = [("D", 5), ("B", 5), ("A", 6), ("E", 6), ("E", 7), ("E", 8)]
+
+
+def _seeded_coweights(datum, count):
+    """Seeded ``mu/n`` whose index sets stay small: multiples of a coroot
+    over n <= 4, whose orbits have at most 240 points, and random mu over
+    5 <= n <= 12, whose integral subsystems are small."""
+    rng = random.Random(f"seeded coweights {datum.cartan_type}{datum.rank}")
+    for i in range(count):
+        if i % 2:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            yield RationalCoweight(tuple(k * c for c in rng.choice(datum.positive_coroots)),
+                                   rng.randint(1, 4))
+        else:
+            n = rng.randint(5, 12)
+            yield RationalCoweight(tuple(rng.randint(-3 * n, 3 * n) for _ in range(datum.rank)), n)
+
+
 @pytest.mark.parametrize("letter,rank", [
-    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)] + LARGE_TYPES)
 def test_indecomposables_are_a_simple_system(letter, rank):
     # the definition: independent, and every integral positive root is a
     # nonnegative integer combination of them (mu mod n fixes integrality)
     datum = build_root_datum(letter, rank)
-    for n in range(1, 5):
-        for mu in product(range(n), repeat=rank):
-            integral = integral_positive_roots(datum, RationalCoweight(mu, n))
-            simple = indecomposable_indices(datum, integral)
-            simples = [datum.positive_roots[k] for k in simple]
-            if not simples:
-                assert not integral
-                continue
-            assert len(rref(simples)[1]) == len(simples)
-            for k in integral:
-                coeffs = _coefficients(simples, datum.positive_roots[k])
-                assert coeffs is not None
-                assert all(c >= 0 and c.denominator == 1 for c in coeffs)
+    if rank <= 4:
+        coweights = [RationalCoweight(mu, n)
+                     for n in range(1, 5) for mu in product(range(n), repeat=rank)]
+    else:
+        coweights = [RationalCoweight((0,) * rank, 1), *_seeded_coweights(datum, 12)]
+    for lam in coweights:
+        integral = integral_positive_roots(datum, lam)
+        simple = indecomposable_indices(datum, integral)
+        simples = [datum.positive_roots[k] for k in simple]
+        if not simples:
+            assert not integral
+            continue
+        assert len(rref(simples)[1]) == len(simples)
+        for k in integral:
+            coeffs = _coefficients(simples, datum.positive_roots[k])
+            assert coeffs is not None
+            assert all(c >= 0 and c.denominator == 1 for c in coeffs)
 
 
 def test_endoscopic_system_interned():
@@ -242,13 +265,18 @@ def _reference_blocks():
         n = rng.randint(1, 12)
         yield build_root_datum(letter, rank), RationalCoweight(
             tuple(rng.randint(-3 * n, 3 * n) for _ in range(rank)), n)
+    for letter, rank in LARGE_TYPES:
+        datum = build_root_datum(letter, rank)
+        for lam in _seeded_coweights(datum, 8):
+            yield datum, lam
 
 
 def test_stratify_matches_a_fraction_straightening():
     """lambda', the minimal mover, the singular set and the values of the
     simple roots at lambda' agree with Fraction pairings and reflections on
-    the small pool and seeded rank <= 4 blocks; straightening a
-    RationalCoweight equals straightening its vector."""
+    the small pool, seeded rank <= 4 blocks and seeded blocks of D5, B5,
+    A6, E6, E7 and E8; straightening a RationalCoweight equals
+    straightening its vector."""
     singular = 0
     for datum, lam in _reference_blocks():
         strat = stratify(datum, lam)
@@ -435,6 +463,38 @@ def test_non_dominant_lambda_prime_raises_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "AssertionError: lambda' must be dominant" in proc.stderr
+
+
+_MUTANT_STRAIGHTENING = """
+import sys
+from weylkl import endoscopy
+from weylkl.rootdata import RationalCoweight, build_root_datum
+guard, optimize = sys.argv[1], int(sys.argv[2])
+if sys.flags.optimize != optimize:
+    raise SystemExit("wrong optimize flag")
+if guard == "length":  # the mover's length counted one too high
+    inversions = endoscopy._inversions
+    endoscopy._inversions = lambda values, k, d: inversions(values, k, d) + 1
+else:  # every positive root taken for integral
+    endoscopy._integral = lambda pairings, n: tuple(range(len(pairings)))
+endoscopy.stratify(build_root_datum("A", 2), RationalCoweight((-3, 1), 2))
+"""
+
+
+@pytest.mark.parametrize("optimize", [0, 1])
+@pytest.mark.parametrize("guard,message", [
+    ("length", "the straightening word must have the mover's length"),
+    ("integral", "integral pairings must stay integral")])
+def test_finite_straightening_guards_fire_in_a_mutant(guard, message, optimize):
+    """A mutant copy of stratify whose mover's length is off by one, or
+    whose integral roots include non-integral ones, fails its certificate,
+    with and without -O: the guards are raises, not asserts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylkl.__file__).parents[1]))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", _MUTANT_STRAIGHTENING, guard,
+                           str(optimize)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == f"AssertionError: {message}"
 
 
 def test_orbit_walk_keep_refuses_everything_above():
