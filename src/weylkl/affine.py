@@ -15,18 +15,21 @@ critical classes; each class comes with its own stratification index:
 
 Everything is exact: finite parts are `fractions.Fraction` vectors and the
 affine real roots are pairs ``(beta, m)`` of a finite root and an integer
-delta-coefficient.  The straightening and the walk are those of the finite
-strata (:mod:`weylkl.endoscopy`), on the values ``<beta, x> + m*k`` of the
-simple roots at level k: ``lambda'``, the mover and the singular labels
-come off one straightening, in which only the finite generators move at
-critical level.  Both indices walk the table of the singular quotient W^J
-level by level along ``fld``, with the values at ``w(lambda')`` and the
-degree carried in integers, and stop at the first level with nothing
-inside the bound.
+delta-coefficient.  Each integral root's integer row, coroot and value
+``<beta, x>`` are read once, as :func:`weylkl.endoscopy.stratify` reads
+them, and the simple system and the straightening are those of the finite
+strata (:func:`weylkl.endoscopy._dyer`,
+:func:`weylkl.endoscopy._straighten`), on the values ``<beta, x> + m*k``
+of the simple roots at level k: ``lambda'``, the mover and the singular
+labels come off one straightening, in which only the finite generators
+move at critical level.  Both indices walk the table of the singular
+quotient W^J level by level along ``fld``, with the values at
+``w(lambda')`` and the degree carried in integers, and stop at the first
+level with nothing inside the bound.
 
 The simple roots of the integral affine roots are found by Dyer's criterion
-(:func:`weylkl.endoscopy.simple_system`: gamma is simple iff s_gamma sends
-no other positive integral root to a negative one) over the window of
+(:func:`weylkl.endoscopy._dyer`: gamma is simple iff s_gamma sends no
+other positive integral root to a negative one) over the window of
 integral roots with delta-coefficient at most ``2 * period``.  The window
 is exact: a non-simple gamma is refuted by a simple root below it, so in
 the window; and a simple root has the least delta-coefficient of its finite
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from .coxeter import CoxeterSystem, _classify, parabolic_quotient
 from .endoscopy import (
-    _integer_point, _value, _walk_below, simple_system, straighten, subsystem_cartan)
+    _dyer, _integer_point, _inversions, _pairings, _straighten, _walk_below)
 from .rootdata import RootDatum, _Record
 
 
@@ -140,19 +143,22 @@ def length_ratio(datum: RootDatum, beta) -> int:
 # integral affine real roots
 
 
-def _integral_window(datum: RootDatum, vec, k, m_max):
-    """Positive integral affine real roots with delta-coefficient <= m_max:
-    ``<beta, vec> + m*k`` has a numerator over ``d`` divisible by ``d``."""
-    roots = datum.positive_roots
-    rows, d, point, (k_num,) = _integer_point(datum, roots, vec, [k])
-    values = [_value(row, 0, point) for row in rows]
-    out = [(beta, 0) for beta, value in zip(roots, values) if value % d == 0]
+def _integral_window(datum: RootDatum, pairings, d, k_num, m_max):
+    """Positive integral affine real roots ``(beta, m)`` with
+    delta-coefficient <= m_max, from the numerators ``pairings`` over ``d``
+    of ``<beta, x>`` for the positive finite roots and ``k_num`` of the
+    level k: ``<beta, x> + m*k`` is an integer.  Returns the roots, their
+    integer ``(row, coroot)`` and their values ``<beta, x>`` as numerators;
+    a root ``-beta + m*delta`` takes the negated row, coroot and value."""
+    roots = list(zip(datum.positive_roots, datum.pairing_rows, datum.positive_coroots, pairings))
+    signed = roots + [(tuple(-c for c in beta), tuple(-c for c in row),
+                       tuple(-c for c in coroot), -value) for beta, row, coroot, value in roots]
+    found = [(root, 0) for root in roots if not root[3] % d]
     for m in range(1, m_max + 1):
-        out += [(beta, m) for beta, value in zip(roots, values)
-                if (value + m * k_num) % d == 0]
-        out += [(tuple(-c for c in beta), m) for beta, value in zip(roots, values)
-                if (m * k_num - value) % d == 0]
-    return out
+        found += [(root, m) for root in signed if not (root[3] + m * k_num) % d]
+    return ([(beta, m) for (beta, _row, _coroot, _value), m in found],
+            [(row, coroot) for (_beta, row, coroot, _value), _m in found],
+            [value for (_beta, _row, _coroot, value), _m in found])
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +214,27 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
     level_class = classify_level(x)
     k = x.level
     period = k.denominator
-    vec = x.finite_part
-    window = tuple(_integral_window(datum, vec, k, 2 * period))
-    simples = simple_system(datum, window)
+    d, point, (k_num,) = _integer_point(x.finite_part, [k])
+    pairings = _pairings(datum, point)
+    window, data, values = _integral_window(datum, pairings, d, k_num, 2 * period)
+    kept = _dyer(data, [(m, sum(beta)) for beta, m in window])
 
-    def sort_key(item):
-        beta, m = item
-        return (m, sum(beta), beta)
-
-    finite = sorted((it for it in simples if it[1] == 0), key=sort_key)
-    extra = sorted((it for it in simples if it[1] > 0), key=sort_key)
-    roots = finite + extra
-    labels = tuple(range(1, len(finite) + 1)) + tuple(
-        -i for i in range(len(extra)))
-    gcm, finite_coroots = subsystem_cartan(datum, [beta for beta, _m in roots])
-    coroots = [(coroot, m * length_ratio(datum, beta))
-               for coroot, (beta, m) in zip(finite_coroots, roots)]
+    # the simple roots by (m, height, root): the finite ones come first
+    order = sorted(kept, key=lambda g: (window[g][1], sum(window[g][0]), window[g][0]))
+    roots = [window[g] for g in order]
+    f = sum(1 for _beta, m in roots if not m)
+    labels = tuple(range(1, f + 1)) + tuple(-i for i in range(len(roots) - f))
+    gcm = tuple(tuple([kept[g][a] for a in order]) for g in order)
+    coroots = [(data[g][1], m * length_ratio(datum, beta)) for g, (beta, m) in zip(order, roots)]
     system = CoxeterSystem(gcm, labels=labels)
 
     # at critical level only the finite roots move, and every root that
     # vanishes at lambda', delta-roots too, is singular
-    lam_prime, mover, values = straighten(datum, system, roots, finite_coroots, vec, k)
+    sign = -1 if k < 0 else 1
+    lam_prime, mover, values = _straighten(
+        system, [data[g] for g in order], [m * k_num for _beta, m in roots], point, d,
+        [sign * (values[g] + m * k_num) for g, (_beta, m) in zip(order, roots)],
+        _inversions(pairings, k_num, d), None if k else range(f))
     singular = frozenset(label for label, value in zip(labels, values) if not value)
 
     imaginary = []
@@ -248,7 +254,7 @@ def affine_endoscopy(datum: RootDatum, x: AffineCoweight) -> AffineStratificatio
 
     return AffineStratification(
         datum=datum, x=x, level_class=level_class, period=period,
-        integral_roots=window, labels=labels, simple_roots=tuple(roots),
+        integral_roots=tuple(window), labels=labels, simple_roots=tuple(roots),
         simple_coroots=tuple(coroots), system=system,
         lambda_prime=lam_prime, minimal_mover=mover, values=values,
         singular=singular, delta_zeta=delta_zeta)

@@ -52,11 +52,7 @@ __all__ = [
     "affinization",
     "multiply",
     "bruhat_leq",
-    "left_descents",
-    "right_descents",
     "parabolic_quotient",
-    "parabolic_project",
-    "double_coset_minimum",
     "longest_element",
 ]
 
@@ -376,18 +372,6 @@ def multiply(a: CoxeterElement, b: CoxeterElement) -> CoxeterElement:
     return CoxeterElement(system, system._canonical(a.word + b.word))
 
 
-def _negative_labels(system, point):
-    return {system.labels[i] for i, vi in enumerate(point) if vi < 0}
-
-
-def left_descents(w: CoxeterElement):
-    return _negative_labels(w.system, w.system._point(w.word))
-
-
-def right_descents(w: CoxeterElement):
-    return _negative_labels(w.system, w.system._point(w.word[::-1]))
-
-
 def bruhat_leq(y: CoxeterElement, w: CoxeterElement) -> bool:
     """Bruhat order by the lifting property along w's canonical word.
 
@@ -431,32 +415,6 @@ def _positions(system, labels):
     return sorted(system._position(lab) for lab in labels)
 
 
-def parabolic_project(w: CoxeterElement, J):
-    """Write w = u * v with u the minimal coset representative and v in W_J.
-
-    v^{-1} is what stripping the left descents in J takes off w^{-1}.
-    """
-    system = w.system
-    v_inv = system._descend(system._point(w.word[::-1]), w.length,
-                            _positions(system, J))[0]
-    u = CoxeterElement(system, system._canonical(w.word + v_inv))
-    v = CoxeterElement(system, system._canonical(v_inv[::-1]))
-    return u, v
-
-
-def double_coset_minimum(w: CoxeterElement, I, J) -> CoxeterElement:
-    """The minimal-length element of the double coset W_I w W_J.
-
-    Stripping left descents in I from the minimal u in w W_J creates no
-    right descent in J, so it ends at the minimum.
-    """
-    system = w.system
-    Ipos = _positions(system, I)
-    u = parabolic_project(w, J)[0]
-    stripped, point = system._descend(system._point(u.word), u.length, Ipos)
-    return CoxeterElement(system, system._descend(point, u.length - len(stripped))[0])
-
-
 def longest_element(system: CoxeterSystem, J=None) -> CoxeterElement:
     """Longest element of W_J (J defaults to the full generator set)."""
     Jpos = list(range(system.rank)) if J is None else _positions(system, J)
@@ -489,7 +447,11 @@ def weyl_system(datum: RootDatum) -> CoxeterSystem:
 
 @lru_cache(maxsize=None)  # one system per datum, so its balls grow in place
 def affinization(datum: RootDatum) -> CoxeterSystem:
-    """Untwisted affinization; node 0 is the added affine generator."""
+    """Untwisted affinization; node 0 is the added affine generator.
+
+    Library API that nothing in the package calls: the integral affine
+    systems of :mod:`weylkl.affine` are built from their own Cartan matrices.
+    """
     r = datum.rank
     theta = datum.highest_root
     theta_vee = datum.highest_root_coroot

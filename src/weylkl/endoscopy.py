@@ -2,7 +2,7 @@
 
 Given a root datum and a rational coweight ``lam``, the positive roots
 pairing integrally with ``lam`` form a closed subsystem.  Its simple system
-(Dyer's reflection criterion, :func:`simple_system`) defines reflections
+(Dyer's reflection criterion, :func:`_dyer`) defines reflections
 generating a finite reflection subgroup acting on the coweight lattice.
 This module computes:
 
@@ -24,7 +24,9 @@ word is the minimal mover, ``lam'`` is ``mu/n`` replayed along it, and the
 singular generators are the positions whose value is left at 0.  The
 stratification keeps those values of ``lam'``, and one walk of the table
 of W^J (:func:`_walk_below`) moves them and adds up the degrees.  The
-affine strata (:mod:`weylkl.affine`) straighten and walk the same way.
+affine strata (:mod:`weylkl.affine`) hand :func:`_dyer` and
+:func:`_straighten` the integers of their window of integral affine roots,
+read once, and walk the same table.
 
 >>> from weylkl.rootdata import build_root_datum, RationalCoweight
 >>> strat = stratify(build_root_datum("A", 2), RationalCoweight((1, 1), 1))
@@ -51,11 +53,8 @@ from .rootdata import (
 __all__ = [
     "Stratification",
     "integral_positive_roots",
-    "simple_system",
-    "subsystem_cartan",
     "indecomposable_indices",
     "endoscopic_system",
-    "straighten",
     "stratify",
     "coweight_orbit_action",
     "strata_for_degree",
@@ -79,39 +78,29 @@ def _integral(pairings, n):
     return tuple(k for k, value in enumerate(pairings) if not value % n)
 
 
-def _integer_data(datum: RootDatum, roots):
-    """Integer row (``<beta, mu> = row . mu``) and coroot of each finite root
-    ``beta``; a negative root takes the negated data of its positive."""
-    rows, where, coroots = datum.pairing_rows, datum.root_index, datum.positive_coroots
-    out = []
-    for beta in roots:
-        k = where.get(beta)
-        if k is not None:
-            out.append((rows[k], coroots[k]))
-        else:
-            k = where[tuple(-c for c in beta)]
-            out.append((tuple(-r for r in rows[k]), tuple(-c for c in coroots[k])))
-    return out
-
-
 def _positive_data(datum: RootDatum, indices):
     """:func:`_dyer`'s ``(data, keys)`` of the positive roots ``indices``, by index."""
     rows, coroots, roots = datum.pairing_rows, datum.positive_coroots, datum.positive_roots
     return [(rows[k], coroots[k]) for k in indices], [(0, sum(roots[k])) for k in indices]
 
 
-def subsystem_cartan(datum: RootDatum, roots):
-    """``(gcm, coroots)`` of finite roots of either sign, in integers, with
-    ``gcm[i][j] = <roots[j], roots[i]^vee>``."""
-    data = _integer_data(datum, roots)
-    gcm = tuple(tuple(sum(map(mul, row, coroot)) for row, _ in data) for _, coroot in data)
-    return gcm, tuple(coroot for _, coroot in data)
-
-
 def _dyer(data, keys):
-    """:func:`simple_system`'s criterion on roots given by their integer
-    ``data`` (row, coroot) and ``keys`` ``(m, height)``: ``{g: pairings}``
-    for the simple positions g, ``pairings[a] = <beta_a, beta_g^vee>``."""
+    """The simple roots among positive integral roots ``beta + m*delta``
+    (``m = 0`` for finite roots), given by their integer ``data``
+    (row, coroot) and ``keys`` ``(m, height of beta)``: ``{g: pairings}``
+    for the simple positions g, in input order, with
+    ``pairings[a] = <beta_a, beta_g^vee>``, row g of their Cartan matrix.
+
+    Dyer's criterion (J. Algebra 135, 1990; Bjorner-Brenti, GTM 231,
+    ch. 4): gamma = (beta, m) is simple iff s_gamma sends no other positive
+    root of the subgroup to a negative root.  For alpha = (rho, n) and
+    c = <rho, beta^vee> > 0, s_gamma(alpha) = (rho - c*beta) +
+    (n - c*m)*delta is negative iff n < c*m, or n = c*m and rho - c*beta
+    has negative height.  The roots must include every root of the
+    subgroup whose delta-coefficient is at most that of a root tested: a
+    non-simple gamma is refuted by a simple root below it (s_gamma has a
+    descent in the support of gamma).  Finite roots need no window.
+    """
     out = {}
     for g, (_, coroot) in enumerate(data):
         m, height = keys[g]
@@ -126,32 +115,11 @@ def _dyer(data, keys):
     return out
 
 
-def simple_system(datum: RootDatum, items):
-    """The items ``(beta, m)`` that are simple roots, in input order.
-
-    ``items`` are positive integral roots ``beta + m*delta`` (``m = 0`` for
-    finite roots).  Dyer's criterion (J. Algebra 135, 1990; Bjorner-Brenti,
-    GTM 231, ch. 4): gamma = (beta, m) is simple iff s_gamma sends no other
-    positive root of the subgroup to a negative root.  For alpha = (rho, n)
-    and c = <rho, beta^vee> > 0, s_gamma(alpha) = (rho - c*beta) +
-    (n - c*m)*delta is negative iff n < c*m, or n = c*m and rho - c*beta
-    has negative height.  :func:`_dyer` runs it here and on the finite
-    roots of :func:`indecomposable_indices` and :func:`stratify`.
-
-    ``items`` must hold every root of the subgroup whose delta-coefficient
-    is at most that of a root tested: a non-simple gamma is refuted by a
-    simple root below it (s_gamma has a descent in the support of gamma).
-    """
-    data = _integer_data(datum, [beta for beta, _m in items])
-    return [items[g] for g in _dyer(data, [(m, sum(beta)) for beta, m in items])]
-
-
 def indecomposable_indices(datum: RootDatum, indices):
     """Sub-tuple of the integral positive roots ``indices`` forming their
     simple system: gamma is kept iff s_gamma sends no other root of
-    ``indices`` to a negative root (:func:`simple_system`'s criterion with
-    ``m = 0`` on their rows and coroots; no window is needed, as every
-    positive root of the subgroup is given)."""
+    ``indices`` to a negative root (:func:`_dyer` on their rows and
+    coroots)."""
     return tuple(indices[g] for g in _dyer(*_positive_data(datum, indices)))
 
 
@@ -163,8 +131,9 @@ def _endoscopic_system(gcm):
 def endoscopic_system(datum: RootDatum, simple_indices) -> CoxeterSystem:
     """Coxeter system of the reflection subgroup on the given simple roots:
     one per Cartan matrix, whose tables every block with that matrix shares."""
-    gcm, _ = subsystem_cartan(datum, [datum.positive_roots[k] for k in simple_indices])
-    return _endoscopic_system(gcm)
+    data, _ = _positive_data(datum, simple_indices)
+    return _endoscopic_system(
+        tuple(tuple(sum(map(mul, row, coroot)) for row, _ in data) for _, coroot in data))
 
 
 class Stratification(_Record):
@@ -229,22 +198,14 @@ def coweight_orbit_action(strat: Stratification, w: CoxeterElement, vec):
     return vec
 
 
-def _integer_point(datum: RootDatum, roots, vec, shifts):
-    """The integer rows of ``roots`` (:func:`_integer_data`), one common
-    denominator ``d`` of ``vec`` and ``shifts`` (ints or Fractions), and
-    their numerators over ``d``: reflections then act on numerators alone.  A
-    :class:`~weylkl.rootdata.RationalCoweight` ``mu/n`` gives its ``mu``
-    over ``n`` as it stands."""
-    rows = [row for row, _ in _integer_data(datum, roots)]
-    if isinstance(vec, RationalCoweight):
-        point, d = vec.mu, vec.n
-    else:
-        vec = [Fraction(x) for x in vec]
-        d = math.lcm(*(x.denominator for x in vec))
-        point = tuple(x.numerator * (d // x.denominator) for x in vec)
-    e = math.lcm(d, *(s.denominator for s in shifts))
-    return (rows, e, tuple(c * (e // d) for c in point),
-            [s.numerator * (e // s.denominator) for s in shifts])
+def _integer_point(vec, shifts):
+    """One common denominator ``d`` of the coweight vector ``vec`` and the
+    ``shifts`` (ints or Fractions), and their numerators over ``d``:
+    reflections then act on numerators alone."""
+    vec = [Fraction(x) for x in vec]
+    d = math.lcm(*(x.denominator for x in vec), *(s.denominator for s in shifts))
+    return (d, tuple(x.numerator * (d // x.denominator) for x in vec),
+            [s.numerator * (d // s.denominator) for s in shifts])
 
 
 def _value(row, shift, point):
@@ -276,41 +237,25 @@ def _inversions(values, k, d):
     return total
 
 
-def straighten(datum: RootDatum, system: CoxeterSystem, roots, coroots, vec, level=None):
-    """Move ``vec`` to the dominant chamber of the group generated by ``roots``.
-
-    ``roots`` are finite roots beta, with values ``<beta, vec>``, or, at a
-    ``level`` k, affine roots ``(beta, m)``, with values
-    ``sign * (<beta, vec> + m*k)``; ``sign = -1`` at negative level
-    straightens to the antidominant chamber, and at critical level only the
-    roots with ``m = 0`` move.  :func:`_straighten` lets
-    ``system._descend`` strip the smallest negative value until none is
-    left: the mover is a minimal coset representative, so that is its
-    canonical word, and its length is the number of integral positive roots
-    negative at ``vec`` (:func:`_inversions`, refused past the enumeration
-    limit).  ``vec`` (a coweight vector or a
-    :class:`~weylkl.rootdata.RationalCoweight`) replayed along the word is
-    ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``: ``mover``
-    is the minimal element taking ``lambda_prime`` back to ``vec``, and
-    ``values`` are the integer values there; only ``lambda_prime`` is made of Fractions.
-    """
-    shifts, gens, sign = [0] * len(roots), None, 1
-    if level is not None:
-        shifts = [m * level for _beta, m in roots]
-        sign = -1 if level < 0 else 1
-        if not level:
-            gens = [i for i, (_beta, m) in enumerate(roots) if not m]
-        roots = [beta for beta, _m in roots]
-    rows, d, point, shifts = _integer_point(datum, roots, vec, shifts + [level or 0])
-    length = _inversions(_pairings(datum, point), shifts.pop(), d)
-    values = [sign * _value(row, shift, point) for row, shift in zip(rows, shifts)]
-    return _straighten(system, list(zip(rows, coroots)), shifts, point, d, values, length, gens)
-
-
 def _straighten(system: CoxeterSystem, data, shifts, point, d, values, length, gens=None):
-    """The descent and replay of :func:`straighten`, in integers: the roots'
-    (row, coroot) ``data`` and ``shifts``, ``point`` and the ``values``
-    there as numerators over ``d``, and the mover's ``length``."""
+    """Move ``point``, numerators over ``d``, to the dominant chamber of
+    the group generated by the roots with (row, coroot) ``data``.
+
+    ``values`` are the roots' values at ``point``, numerators over ``d``:
+    ``<beta, point>`` for finite roots beta, and
+    ``sign * (<beta, point> + m*k)`` for affine roots ``(beta, m)`` at a
+    level k, whose ``shifts`` are the numerators of m*k (0 for finite
+    roots).  ``sign = -1`` at negative level straightens to the antidominant
+    chamber, and at critical level only the generators ``gens`` (the
+    finite roots) move.  ``system._descend`` strips the smallest negative
+    value until none is left: the mover is a minimal coset representative,
+    so that is its canonical word, and its ``length`` is the number of
+    integral positive roots negative at ``point`` (:func:`_inversions`,
+    refused past the enumeration limit).  ``point`` replayed along the word
+    is ``lambda_prime``.  Returns ``(lambda_prime, mover, values)``:
+    ``mover`` is the minimal element taking ``lambda_prime`` back to
+    ``point / d``, and ``values`` are the integer values there; only
+    ``lambda_prime`` is made of Fractions."""
     if length > coxeter._ENUM_LIMIT:
         raise ValueError(f"straightening takes {length} reflections, more than "
                          f"the enumeration limit {coxeter._ENUM_LIMIT}")
@@ -356,7 +301,7 @@ def _walk_below(system: CoxeterSystem, J, values, steps, dim, bound=None):
     when ``bound`` is None), in id order.
 
     ``values`` are those of the simple roots at lambda', from
-    :func:`straighten`: positive off J and zero on J.  Along the table, x = s*g with s = fld[x] and
+    :func:`_straighten`: positive off J and zero on J.  Along the table, x = s*g with s = fld[x] and
     v = values(g)[s] > 0: values(x) is ``system._reflect(values(g), s)`` and
     degree(x) = degree(g) + v * steps[s].  Degrees only grow along the
     table, so x is kept when g is, and its degree is inside the bound; the

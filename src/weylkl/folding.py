@@ -207,7 +207,8 @@ def coinvariant_map_a(fd: FoldingDatum, alpha) -> tuple:
     The input is a lattice vector representing a coinvariant class; the
     output is the invariant vector obtained by summing its sigma-translates.
     Adding ``sigma(beta) - beta`` to the representative does not change the
-    result, so the map is well defined on coinvariants.
+    result, so the map is well defined on coinvariants.  Library API that
+    nothing in the package calls.
     """
     vec = tuple(alpha)
     if len(vec) != fd.source.rank:

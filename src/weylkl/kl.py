@@ -237,7 +237,10 @@ def kl_polynomial(system: CoxeterSystem, y: CoxeterElement, w: CoxeterElement,
 
 
 def kl_mu(system: CoxeterSystem, z: CoxeterElement, v: CoxeterElement) -> int:
-    """The mu-coefficient: top-degree coefficient of P_{z,v} when the gap is odd."""
+    """The mu-coefficient: top-degree coefficient of P_{z,v} when the gap is odd.
+
+    Library API that nothing in the package calls: the fill keeps its own
+    mu-lists."""
     gap = len(v.word) - len(z.word)
     if gap <= 0 or gap % 2 == 0:
         return 0

@@ -91,7 +91,10 @@ def multiplicity_matrix(strat: Stratification):
 
 
 def inverse_multiplicity_matrix(strat: Stratification):
-    """Integer matrix A with simple(y) = sum_w A[y][w] * Verma(w) in characters."""
+    """Integer matrix A with simple(y) = sum_w A[y][w] * Verma(w) in characters.
+
+    Library API that nothing in the package calls: weight multiplicities
+    and dimensions read one row of it (:func:`_inverse_row`)."""
     return invert_unitriangular(multiplicity_matrix(strat))
 
 

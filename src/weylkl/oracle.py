@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from . import coxeter
 from .rootdata import RootDatum, RationalCoweight
 from .endoscopy import _index_degrees, stratify
 from .multiplicity import graded_partition_polynomial, index_highest_weights
@@ -275,7 +276,8 @@ def singular_vectors(vm: VermaModel, depth: int):
     Returns ``(weight, dimension)`` for every weight ``hw - beta`` with
     nonzero Verma weight space and coordinate sum of ``beta`` at most
     ``depth``.  A nonzero dimension below the top certifies a generating
-    vector of an embedded Verma submodule.
+    vector of an embedded Verma submodule.  Library API that nothing in the
+    package calls: the oracle reads Gram ranks.
     """
     depth = int(depth)
     if depth > vm.depth:
@@ -316,6 +318,12 @@ def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
     Verma, columns: simple), computed purely from singular-vector linear
     algebra and character peeling -- no Hecke-algebra input.  Every peeled
     character identity is verified on all weights within the depth bound.
+
+    The Gram matrices cost most: the model of index element k may form one
+    at every beta with |beta| <= depth - |drop_k|, with C(|beta|; beta)^2
+    entries, which sum to C(2h, h) over the beta of height h in rank 2
+    (Vandermonde) and to 1 in rank 1.  Past the enumeration limit that
+    count is refused before any model is built.
     """
     if datum.rank > 2:
         raise ValueError("the oracle is limited to rank <= 2")
@@ -330,6 +338,13 @@ def oracle_multiplicity_matrix(datum: RootDatum, lam: RationalCoweight,
     hws = index_highest_weights(strat)
     size = len(hws)
     drops = list(_index_degrees(strat).values())
+    entries = 0
+    for drop in drops:
+        for h in range(depth - sum(drop) + 1):
+            entries += comb(2 * h, h) if datum.rank == 2 else 1
+            if entries > coxeter._ENUM_LIMIT:
+                raise ValueError(f"the oracle at depth {depth} forms more than "
+                                 f"{coxeter._ENUM_LIMIT} Gram entries, the enumeration limit")
     order = sorted(range(size), key=lambda k: (sum(drops[k]), drops[k]))
 
     models = [

@@ -33,8 +33,6 @@ __all__ = [
     "pairing",
     "reflect",
     "reflect_coweight_by_root",
-    "dominance_compare",
-    "coroot_height",
 ]
 
 _RANK_BOUNDS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
@@ -300,17 +298,3 @@ def reflect_coweight_by_root(datum: RootDatum, alpha, alpha_coroot, lam):
     """Reflection attached to an arbitrary root: lam - <alpha, lam> alpha^vee."""
     c = pairing(datum, alpha, lam)
     return tuple(Fraction(x) - c * a for x, a in zip(lam, alpha_coroot))
-
-
-def dominance_compare(beta: Sequence, alpha: Sequence) -> bool:
-    """True iff alpha - beta is a nonnegative *integer* combination of simple coroots."""
-    for b, a in zip(beta, alpha):
-        diff = Fraction(a) - Fraction(b)
-        if diff.denominator != 1 or diff < 0:
-            return False
-    return True
-
-
-def coroot_height(vec: Sequence) -> Fraction:
-    """Sum of simple-coroot coordinates."""
-    return sum((Fraction(x) for x in vec), Fraction(0))

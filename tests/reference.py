@@ -12,6 +12,11 @@ library computes another way, or checks a model the library does not use:
   action w(rho) that spells canonical words, descents and the Bruhat order;
 * :func:`subgroup_matrices`, the whole reflection subgroup as coweight
   matrices, against the integral subsystem;
+* :func:`left_descents`, :func:`right_descents`,
+  :func:`parabolic_project` and :func:`double_coset_minimum`, read off the
+  point action, against the parabolic quotients and the affine strata;
+* :func:`dominance_compare`, the dominance order on coweights, against the
+  degree filters of the strata;
 * :func:`cartan_kind`, the type of a Cartan matrix from the leading
   principal minors of its symmetrization (:func:`symmetrizer`,
   :func:`leading_minors`), against Kac's trichotomy read off one kernel;
@@ -27,10 +32,63 @@ from fractions import Fraction
 from itertools import combinations
 
 from weylkl import coxeter
-from weylkl.coxeter import CoxeterElement, CoxeterSystem, weyl_system
+from weylkl.coxeter import CoxeterElement, CoxeterSystem, _positions, weyl_system
 from weylkl.endoscopy import _integer_point, _value, endoscopic_system
 from weylkl.linalg import eliminate, kernel_basis
 from weylkl.rootdata import RootDatum, pairing, reflect, reflect_coweight_by_root
+
+
+def left_descents(w: CoxeterElement):
+    """Labels of the left descents of w: the negative values of w(rho)."""
+    return {w.system.labels[i] for i, v in enumerate(w.system._point(w.word)) if v < 0}
+
+
+def right_descents(w: CoxeterElement):
+    """Labels of the right descents of w, the left descents of w^{-1}."""
+    return left_descents(w.inverse())
+
+
+def parabolic_project(w: CoxeterElement, J):
+    """Write w = u * v with u the minimal coset representative and v in W_J.
+
+    v^{-1} is what stripping the left descents in J takes off w^{-1}.
+    """
+    system = w.system
+    v_inv = system._descend(system._point(w.word[::-1]), w.length,
+                            _positions(system, J))[0]
+    u = CoxeterElement(system, system._canonical(w.word + v_inv))
+    v = CoxeterElement(system, system._canonical(v_inv[::-1]))
+    return u, v
+
+
+def double_coset_minimum(w: CoxeterElement, I, J) -> CoxeterElement:
+    """The minimal-length element of the double coset W_I w W_J.
+
+    Stripping left descents in I from the minimal u in w W_J creates no
+    right descent in J, so it ends at the minimum.
+    """
+    system = w.system
+    u = parabolic_project(w, J)[0]
+    stripped, point = system._descend(system._point(u.word), u.length, _positions(system, I))
+    return CoxeterElement(system, system._descend(point, u.length - len(stripped))[0])
+
+
+def dominance_compare(beta, alpha) -> bool:
+    """True iff alpha - beta is a nonnegative *integer* combination of simple coroots."""
+    for b, a in zip(beta, alpha):
+        diff = Fraction(a) - Fraction(b)
+        if diff.denominator != 1 or diff < 0:
+            return False
+    return True
+
+
+def _pairing_row(datum: RootDatum, beta):
+    """The integer row of the finite root ``beta`` (``<beta, mu> = row . mu``);
+    a negative root takes the negated row of its positive."""
+    k = datum.root_index.get(tuple(beta))
+    if k is not None:
+        return datum.pairing_rows[k]
+    return tuple(-c for c in datum.pairing_rows[datum.root_index[tuple(-c for c in beta)]])
 
 
 def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
@@ -50,7 +108,8 @@ def orbit_walk(datum: RootDatum, roots, coroots, start, shifts=None, sign=1,
     refuse everything above it too, as a bound on the degree
     ``start - point`` does.  The walk itself runs on integer numerators.
     """
-    rows, d, point, shifts = _integer_point(datum, roots, start, shifts or [0] * len(roots))
+    rows = [_pairing_row(datum, beta) for beta in roots]
+    d, point, shifts = _integer_point(start, shifts or [0] * len(roots))
     if any(sign * _value(row, shift, point) < 0 for row, shift in zip(rows, shifts)):
         raise ValueError("the start of an orbit walk must be dominant")
 

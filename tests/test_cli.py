@@ -213,6 +213,22 @@ def test_character_refuses_a_series_past_the_enumeration_limit(capsys):
     assert "has 593775 degrees" in err
 
 
+def test_oracle_check_refuses_a_depth_past_the_enumeration_limit():
+    """The Gram matrices of B2 at 3,2/2 hold 6,020 entries at the default
+    depth 7, 318,776 at depth 10 and 1,213,320 at depth 11.  Depth 100 is
+    refused before any model is built, in a fresh interpreter, with one
+    error line and no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "weylkl.cli", "oracle-check", "--type", "B",
+                           "--rank", "2", "--lambda", "3,2/2", "--depth", "100"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert time.monotonic() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the oracle at depth 100 forms more than 500000 Gram "
+                           "entries, the enumeration limit\n")
+
+
 def test_affine_refuses_a_straightening_past_the_enumeration_limit(capsys):
     """At level 1 the coweight 10^6 of A1 is 1,999,999 reflections from the
     dominant chamber: the count is refused before the walk.  The coweight

@@ -17,13 +17,9 @@ from weylkl.coxeter import (
     _classify,
     affinization,
     bruhat_leq,
-    double_coset_minimum,
-    left_descents,
     longest_element,
     multiply,
-    parabolic_project,
     parabolic_quotient,
-    right_descents,
     weyl_system,
 )
 from weylkl.kl import kl_table
@@ -36,6 +32,10 @@ from reference import (
     column_interval,
     columns,
     coweight_action,
+    double_coset_minimum,
+    left_descents,
+    parabolic_project,
+    right_descents,
     translation_element,
     translation_length,
 )

@@ -1,7 +1,8 @@
 """The library states its invariants with ``raise``, so they hold under
 ``python -O``, every global name a function reads is bound, every name a
-module imports is used, every private helper has a caller, and every module
-exports only names it defines."""
+module imports is used, every private helper and every public name has a
+caller (a public name may instead be listed with its reason), and every
+module exports only names it defines."""
 
 import ast
 import builtins
@@ -86,9 +87,10 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported and never used {unused}"
 
 
-def _uncalled_private_helpers():
-    """(module, name) for each module-level ``_name`` of ``src/weylkl``
-    that no code in ``src/weylkl`` reads outside its own definition."""
+def _uncalled_names():
+    """(module, name) for each module-level name of ``src/weylkl``, private
+    (``_name``) or in its module's ``__all__``, that no code in
+    ``src/weylkl`` reads outside its own definition."""
     defined, read = [], set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -99,8 +101,9 @@ def _uncalled_private_helpers():
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 own = {t.id for t in targets if isinstance(t, ast.Name)}
+            public = set(getattr(importlib.import_module(f"weylkl.{path.stem}"), "__all__", ()))
             defined += [(path.name, name) for name in own
-                        if name.startswith("_") and not name.startswith("__")]
+                        if name in public or name.startswith("_") and not name.startswith("__")]
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                         else node.attr if isinstance(node, ast.Attribute) else None)
@@ -110,8 +113,41 @@ def _uncalled_private_helpers():
 
 
 def test_every_private_helper_has_a_caller_in_src():
-    uncalled = _uncalled_private_helpers()
+    uncalled = [(module, name) for module, name in _uncalled_names() if name.startswith("_")]
     assert not uncalled, f"private helpers that nothing in src reads: {uncalled}"
+
+
+# The public names that nothing in src calls, each with why it stays: the
+# benchmark reads it, or it is library API that the README documents.  A
+# name that only tests read belongs in tests/reference.py, or nowhere.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+UNCALLED_PUBLIC = {
+    ("coxeter.py", "affinization"): "documented API: the README row of weylkl.coxeter",
+    ("coxeter.py", "bruhat_leq"): "read by perfbench/",
+    ("coxeter.py", "longest_element"): "read by perfbench/",
+    ("endoscopy.py", "coweight_orbit_action"): "read by perfbench/",
+    ("endoscopy.py", "endoscopic_system"): "read by perfbench/",
+    ("endoscopy.py", "indecomposable_indices"): "read by perfbench/",
+    ("endoscopy.py", "integral_positive_roots"): "read by perfbench/",
+    ("folding.py", "coinvariant_map_a"): "documented API: the README row of weylkl.folding",
+    ("kl.py", "kl_mu"): "documented API: the README row of weylkl.kl",
+    ("multiplicity.py", "inverse_multiplicity_matrix"):
+        "documented API: the README row of weylkl.multiplicity",
+    ("multiplicity.py", "multiplicity"): "read by perfbench/",
+    ("oracle.py", "singular_vectors"): "documented API: the README row of weylkl.oracle",
+}
+
+
+def test_every_public_name_has_a_caller_in_src_or_a_reason():
+    uncalled = [(module, name) for module, name in _uncalled_names() if not name.startswith("_")]
+    assert sorted(UNCALLED_PUBLIC) == uncalled
+    benchmark = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    for (module, name), reason in UNCALLED_PUBLIC.items():
+        if reason == "read by perfbench/":
+            assert re.search(rf"\b{name}\b", benchmark), (module, name, reason)
+        else:
+            assert f"`{name}`" in readme, (module, name, reason)
 
 
 # Each module-level cache pins everything it ever returns, so a new one must

