@@ -94,6 +94,7 @@ def _uncalled_names():
     defined, read = [], set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        public = set(getattr(importlib.import_module(f"weylkl.{path.stem}"), "__all__", ()))
         for stmt in tree.body:
             own = set()
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -101,7 +102,6 @@ def _uncalled_names():
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 own = {t.id for t in targets if isinstance(t, ast.Name)}
-            public = set(getattr(importlib.import_module(f"weylkl.{path.stem}"), "__all__", ()))
             defined += [(path.name, name) for name in own
                         if name in public or name.startswith("_") and not name.startswith("__")]
             for node in ast.walk(stmt):
